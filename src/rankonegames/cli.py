@@ -272,7 +272,7 @@ def cmd_repeat(args) -> int:
 
 # -- reproduction suites ---------------------------------------------------------------
 
-def _rows_gaps(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
+def _rows_gaps(n_max: int, tol: float) -> list[ReproductionRow]:
     rows = []
     for n in range(2, n_max + 1):
         gc, _ = games.game_gc(n)
@@ -296,7 +296,7 @@ def _rows_gaps(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
     return rows
 
 
-def _rows_parallel(n_max: int, tol: float, seed: int, allow_large: bool) -> list[ReproductionRow]:
+def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
     rows = []
     for n in range(2, n_max + 1):
         g, p = games.game_gcr(n)
@@ -327,10 +327,10 @@ def _rows_parallel(n_max: int, tol: float, seed: int, allow_large: bool) -> list
         rows.append(ReproductionRow(
             "gcr^2", n, "seesaw_lower_deficit", 0.0,
             max(0.0, omega2 - res.value), 1e-6))
-        if n == 2:
-            # the squared-game SDP at n >= 3 has ~2(2 n^4) real unknowns,
-            # beyond the dense solver; the exact protocol rows above still
-            # certify the parallel-repetition failure at every n
+        if n <= 3:
+            # the squared-game program has block side 2 n^4, and the dense
+            # solver's stacks at n = 4 would need gigabytes; the exact
+            # protocol rows above still certify the failure at every n
             qow2 = values.qow_value(g2, tol=tol).value
             rows.append(ReproductionRow(
                 "gcr^2", n, "omega_qow", (closed) ** 2, qow2, 1e-4))
@@ -380,9 +380,9 @@ def cmd_reproduce(args) -> int:
         raise UsageError("--n-max above 3 needs --allow-large")
     rows: list[ReproductionRow] = []
     if args.suite in ("gaps", "all"):
-        rows.extend(_rows_gaps(args.n_max, args.tol, args.seed))
+        rows.extend(_rows_gaps(args.n_max, args.tol))
     if args.suite in ("parallel", "all"):
-        rows.extend(_rows_parallel(args.n_max, args.tol, args.seed, args.allow_large))
+        rows.extend(_rows_parallel(args.n_max, args.tol, args.seed))
     if args.suite in ("schur", "all"):
         rows.extend(_rows_schur(args.tol, args.seed))
     dicts = [r.as_dict() for r in rows]
@@ -406,8 +406,6 @@ def build_parser() -> _Parser:
                        help="SDP duality-gap tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--dump-sdp", dest="dump_sdp", default=None,
-                       help="write the solved SDP to this path as JSON")
         p.add_argument("--out", default=None, help="also write the report to this path")
 
     p_make = sub.add_parser("make", help="write a canonical game file")
@@ -421,6 +419,8 @@ def build_parser() -> _Parser:
     p_value.add_argument("--which", required=True, choices=("V", "qow", "mu", "bracket"))
     p_value.add_argument("--seesaw-restarts", type=int, default=20)
     common(p_value)
+    p_value.add_argument("--dump-sdp", dest="dump_sdp", default=None,
+                         help="write the solved SDP to this path as JSON")
     p_value.set_defaults(func=cmd_value)
 
     p_sim = sub.add_parser("simulate", help="evaluate a strategy against a game")
@@ -429,7 +429,7 @@ def build_parser() -> _Parser:
                        help="named protocol (%s) or a strategy JSON file"
                             % "|".join(st.NAMED_STRATEGIES))
     p_sim.add_argument("--ancilla", default=None, help="a,b ancilla dimensions")
-    common(p_sim)
+    p_sim.add_argument("--out", default=None, help="also write the report to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("repeat", help="tensor-power a game file")
@@ -439,8 +439,6 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--which", default=None, help="also compute V or qow on the power")
     p_rep.add_argument("--side-cap", type=int, default=games.DEFAULT_SIDE_CAP)
     p_rep.add_argument("--tol", type=float, default=1e-7)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--format", choices=("json", "csv"), default="json")
     p_rep.add_argument("--dump-sdp", dest="dump_sdp", default=None)
     p_rep.set_defaults(func=cmd_repeat)
 
@@ -448,7 +446,7 @@ def build_parser() -> _Parser:
     p_repro.add_argument("--suite", required=True, choices=("gaps", "parallel", "schur", "all"))
     p_repro.add_argument("--n-max", dest="n_max", type=int, default=3)
     p_repro.add_argument("--allow-large", action="store_true",
-                         help="enable n above 3 and the squared-game SDP beyond n=2")
+                         help="allow --n-max above 3 (squared-game SDP rows stop at n=3)")
     common(p_repro)
     p_repro.set_defaults(func=cmd_reproduce)
     return parser

@@ -8,7 +8,6 @@ translated here once and pinned by tests against their explicit entries.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -369,7 +368,3 @@ def purification_from_json(obj: dict) -> GamePurification:
     except KeyError as exc:
         raise GameError(f"purification JSON is missing key {exc}") from exc
 
-
-def load_game(path) -> tuple[RankOneGame, GamePurification | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return game_from_json(json.load(fh))

@@ -129,6 +129,8 @@ class SdpSolution:
     tol: float
     feas_tol: float
     residuals: dict = field(default_factory=dict)
+    # complex Hermitian dual matrix of each PSD constraint, in problem order
+    dual_blocks: list[np.ndarray] = field(default_factory=list)
 
 
 # -- Hermitian parameter bases and realification -----------------------------
@@ -172,6 +174,13 @@ def realify(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     re, im = m.real, m.imag
     return np.block([[re, -im], [im, re]])
+
+
+def _complex_dual(x: np.ndarray) -> np.ndarray:
+    """Complex X with Re tr(K X) = <realify(K), x> for Hermitian K; realify(X)/2
+    averages x with its conjugation by [[0,-I],[I,0]], so X is PSD with x."""
+    s = x.shape[0] // 2
+    return (x[:s, :s] + x[s:, s:]) + 1j * (x[s:, :s] - x[:s, s:])
 
 
 def variable_basis(var: SdpVariable) -> list[np.ndarray]:
@@ -389,7 +398,7 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     """Interior-point loop on: maximize g.z s.t. F0_c + sum z_j G_cj >= 0.
 
     Dual: minimize <F0, X> s.t. <G_j, X> = -g_j, X >= 0 blockwise.
-    Returns (status, z, pobj, dobj, iterations, residuals).
+    Returns (status, z, x_blocks, pobj, dobj, iterations, residuals).
     """
     g = lmi.g
     m = g.size
@@ -408,7 +417,8 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     if m == 0:
         lam_min = min(float(np.linalg.eigvalsh(f0)[0]) for f0 in blocks_f0)
         status = "optimal" if lam_min >= -feas_tol * data_scale else "infeasible"
-        return status, np.zeros(0), 0.0, 0.0, 0, {"primal": 0.0, "dual": 0.0, "min_eig": lam_min}
+        return (status, np.zeros(0), [np.zeros_like(f0) for f0 in blocks_f0], 0.0, 0.0, 0,
+                {"primal": 0.0, "dual": 0.0, "min_eig": lam_min})
 
     tau = data_scale
     z = np.zeros(m)
@@ -526,7 +536,7 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     if status == "optimal" and min_eig < -10.0 * feas_tol * data_scale:
         status = "max-iters"
     residuals = {"primal": float(prim_res), "dual": float(dual_res), "min_eig": min_eig}
-    return status, z, pobj, dobj, it, residuals
+    return status, z, x_blk, pobj, dobj, it, residuals
 
 
 def _cho_solve(l, b):
@@ -554,6 +564,9 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     each other (relative to max(1, values)), every PSD block has minimum
     eigenvalue >= -10*feas_tol at the returned point, and equality
     residuals vanish by construction of the eliminated parameterization.
+    ``dual_blocks`` holds the Hermitian PSD dual matrix X_c of each PSD
+    constraint; with no equalities the dual value is sum_c Re tr(F0_c X_c)
+    for a maximization and its negation for a minimization.
     """
     lmi, meta = _compile(problem, feas_tol)
     bases, offsets, m_full = meta
@@ -561,7 +574,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
         return SdpSolution("infeasible", 0.0, 0.0, 0.0, {}, 0, tol, feas_tol,
                            {"primal": np.inf, "dual": np.inf, "min_eig": -np.inf})
 
-    status, z, pobj, dobj, iters, residuals = _solve_lmi(lmi, tol, feas_tol, max_iters)
+    status, z, x_blk, pobj, dobj, iters, residuals = _solve_lmi(lmi, tol, feas_tol, max_iters)
 
     y_full = lmi.y0 + lmi.nbasis @ z
     assignments = _recover_assignments(problem, bases, offsets, y_full)
@@ -577,4 +590,5 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
         tol=tol,
         feas_tol=feas_tol,
         residuals=residuals,
+        dual_blocks=[_complex_dual(x) for x in x_blk],
     )

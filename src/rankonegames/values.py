@@ -13,9 +13,11 @@ operator-sum constraints become partial-trace caps on those Grams,
     [[Y_A, R(u)], [R(u)^dag, Y_B]] >= 0,
     tr_2 Y_A <= 1_A,  tr_1 Y_B <= 1_B.
 
-The transposed Haagerup norm is the same program with traces capped on
-the complementary legs; the symmetrized norm ``mu`` constrains one
-witness by both programs at once, and the entangled value then sits in
+The one-way value is solved as the Lagrange dual of this program, over
+the dA^2 + dB^2 multipliers of the two caps; the dual matrix of its one
+PSD block is the witness.  The transposed Haagerup norm caps the
+complementary legs; the symmetrized norm ``mu`` constrains one witness
+by both programs at once, and the entangled value then sits in
 [mu^2/4, mu^2].  The block form is cross-checked against brute-force
 minimization over explicit decompositions (``brute_force_haagerup``);
 the two routes must agree before the SDP is trusted.
@@ -47,11 +49,6 @@ def maximal_value(g: RankOneGame) -> float:
 
 # -- program construction ------------------------------------------------------
 
-def _pad_cols(block: np.ndarray, before: int, after: int) -> np.ndarray:
-    rows = block.shape[0]
-    return np.hstack([np.zeros((rows, before)), block, np.zeros((rows, after))])
-
-
 def _leg_trace_rows(d: int, leg: int):
     """Row maps whose conjugation sum gives tr_leg on a pair-indexed side d^2."""
     rows = []
@@ -62,23 +59,25 @@ def _leg_trace_rows(d: int, leg: int):
     return rows
 
 
-def _trace_cap_terms(var: str, d_a: int, d_b: int, side: str, leg: int):
-    """Terms for -tr_leg of the indicated diagonal block of a combined Z.
+def _placement(d_a: int, d_b: int, side: str) -> np.ndarray:
+    """Isometry onto the upper-left ("A", pairs (a, a')) or lower-right
+    ("B", pairs (b, b')) diagonal block of a Z of side dA^2 + dB^2."""
+    eye = np.eye(d_a * d_a + d_b * d_b)
+    return eye[:, : d_a * d_a] if side == "A" else eye[:, d_a * d_a:]
 
-    Z has side dA^2 + dB^2; side "A" is the upper-left block indexed by
-    pairs (a, a'), side "B" the lower-right indexed by (b, b').  leg 1
-    traces the first pair index, leg 2 the second.
+
+def _cap_rows(d_a: int, d_b: int, side: str, leg: int):
+    """Rows e_k with sum_k e_k Z e_k^dag = tr_leg of one diagonal block of Z.
+
+    leg 1 traces the first pair index, leg 2 the second.
     """
-    terms = []
-    if side == "A":
-        for row in _leg_trace_rows(d_a, leg):
-            emb = _pad_cols(row, 0, d_b * d_b)
-            terms.append(sdp.PsdTerm(var, -emb, emb))
-    else:
-        for row in _leg_trace_rows(d_b, leg):
-            emb = _pad_cols(row, d_a * d_a, 0)
-            terms.append(sdp.PsdTerm(var, -emb, emb))
-    return terms
+    place = _placement(d_a, d_b, side)
+    return [row @ place.T for row in _leg_trace_rows(d_a if side == "A" else d_b, leg)]
+
+
+def _trace_cap_terms(var: str, rows):
+    """Terms for -sum_k e_k X e_k^dag, the negated partial trace of the rows."""
+    return [sdp.PsdTerm(var, -row, row) for row in rows]
 
 
 def _pairing_objective(rm: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -91,64 +90,65 @@ def _pairing_objective(rm: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
 
 def haagerup_pairing_program(g: RankOneGame, transposed: bool = False) -> sdp.SdpProblem:
-    """max Re <M, u> over u contractive in the (transposed) Haagerup norm."""
+    """min tr P + tr Q over multipliers of the (transposed) Haagerup caps.
+
+    This is the Lagrange dual of max Re <M, u> over u contractive in the
+    Haagerup norm: the caps contribute P (x) 1 and 1 (x) Q through the
+    adjoints of their trace rows, so the program has dA^2 + dB^2 real
+    parameters and one PSD block.  The dual matrix of that block is an
+    optimal witness Z, whose diagonal Grams have caps equal to 1.
+    """
     d_a, d_b = g.d_a, g.d_b
-    s = d_a * d_a + d_b * d_b
     rm = la.realign(g.m, d_a, d_b)
     legs = (1, 2) if transposed else (2, 1)
-    constraints = [
-        sdp.PsdConstraint(np.zeros((s, s)),
-                          [sdp.PsdTerm("Z", np.eye(s), np.eye(s))], name="witness-psd"),
-        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("Z", d_a, d_b, "A", legs[0]),
-                          name="alice-cap"),
-        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("Z", d_a, d_b, "B", legs[1]),
-                          name="bob-cap"),
-    ]
+    terms = [sdp.PsdTerm("P", row.T, row.T) for row in _cap_rows(d_a, d_b, "A", legs[0])]
+    terms += [sdp.PsdTerm("Q", row.T, row.T) for row in _cap_rows(d_a, d_b, "B", legs[1])]
     return sdp.SdpProblem(
-        variables=[sdp.SdpVariable("Z", s)],
-        objective={"Z": _pairing_objective(rm, d_a, d_b)},
-        psd_constraints=constraints,
+        variables=[sdp.SdpVariable("P", d_a), sdp.SdpVariable("Q", d_b)],
+        objective={"P": np.eye(d_a), "Q": np.eye(d_b)},
+        psd_constraints=[sdp.PsdConstraint(-_pairing_objective(rm, d_a, d_b), terms,
+                                           name="multiplier-block")],
+        maximize=False,
     )
 
 
 def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
-    """max Re <M, u> with one witness feasible for both Haagerup programs."""
+    """max Re <M, u> with one witness feasible for both Haagerup programs.
+
+    The diagonal blocks of Z are the Grams of the plain program.  The
+    transposed program shares Z's off-diagonal block, kept as
+    Z - Pi_A Z Pi_A - Pi_B Z Pi_B, and has its own Grams TA and TB.
+    """
     d_a, d_b = g.d_a, g.d_b
     s = d_a * d_a + d_b * d_b
     rm = la.realign(g.m, d_a, d_b)
+    eye = np.eye(s)
+    place_a, place_b = _placement(d_a, d_b, "A"), _placement(d_a, d_b, "B")
+    proj_a, proj_b = place_a @ place_a.T, place_b @ place_b.T
+    transposed_block = [
+        sdp.PsdTerm("Z", eye, eye),
+        sdp.PsdTerm("Z", -proj_a, proj_a),
+        sdp.PsdTerm("Z", -proj_b, proj_b),
+        sdp.PsdTerm("TA", place_a, place_a),
+        sdp.PsdTerm("TB", place_b, place_b),
+    ]
     constraints = [
-        sdp.PsdConstraint(np.zeros((s, s)),
-                          [sdp.PsdTerm("Z1", np.eye(s), np.eye(s))], name="witness-psd-h"),
-        sdp.PsdConstraint(np.zeros((s, s)),
-                          [sdp.PsdTerm("Z2", np.eye(s), np.eye(s))], name="witness-psd-ht"),
-        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("Z1", d_a, d_b, "A", 2),
+        sdp.PsdConstraint(np.zeros((s, s)), [sdp.PsdTerm("Z", eye, eye)], name="witness-psd-h"),
+        sdp.PsdConstraint(np.zeros((s, s)), transposed_block, name="witness-psd-ht"),
+        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("Z", _cap_rows(d_a, d_b, "A", 2)),
                           name="alice-cap-h"),
-        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("Z1", d_a, d_b, "B", 1),
+        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("Z", _cap_rows(d_a, d_b, "B", 1)),
                           name="bob-cap-h"),
-        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("Z2", d_a, d_b, "A", 1),
+        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("TA", _leg_trace_rows(d_a, 1)),
                           name="alice-cap-ht"),
-        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("Z2", d_a, d_b, "B", 2),
+        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("TB", _leg_trace_rows(d_b, 2)),
                           name="bob-cap-ht"),
     ]
-    equalities = []
-    off = d_a * d_a
-    for i in range(d_a * d_a):
-        for j in range(d_b * d_b):
-            e_re = np.zeros((s, s), dtype=complex)
-            e_re[i, off + j] = 0.5
-            e_re[off + j, i] = 0.5
-            e_im = np.zeros((s, s), dtype=complex)
-            e_im[i, off + j] = 0.5j
-            e_im[off + j, i] = -0.5j
-            equalities.append(sdp.EqualityConstraint(
-                {"Z1": e_re, "Z2": -e_re}, 0.0, name=f"re-{i}-{j}"))
-            equalities.append(sdp.EqualityConstraint(
-                {"Z1": e_im, "Z2": -e_im}, 0.0, name=f"im-{i}-{j}"))
     return sdp.SdpProblem(
-        variables=[sdp.SdpVariable("Z1", s), sdp.SdpVariable("Z2", s)],
-        objective={"Z1": _pairing_objective(rm, d_a, d_b)},
+        variables=[sdp.SdpVariable("Z", s), sdp.SdpVariable("TA", d_a * d_a),
+                   sdp.SdpVariable("TB", d_b * d_b)],
+        objective={"Z": _pairing_objective(rm, d_a, d_b)},
         psd_constraints=constraints,
-        equalities=equalities,
     )
 
 
@@ -156,32 +156,19 @@ def haagerup_norm_program(u: np.ndarray, d_a: int, d_b: int,
                           transposed: bool = False) -> sdp.SdpProblem:
     """min (alpha + beta)/2 certifying the Haagerup norm of a witness u."""
     ru = la.realign(la.as_matrix(u, d_a * d_b, d_a * d_b), d_a, d_b)
-    s = d_a * d_a + d_b * d_b
-    f0 = np.zeros((s, s), dtype=complex)
-    f0[: d_a * d_a, d_a * d_a:] = ru
-    f0[d_a * d_a:, : d_a * d_a] = ru.conj().T
-    place_a = _pad_cols(np.eye(d_a * d_a), 0, d_b * d_b).T
-    place_b = _pad_cols(np.eye(d_b * d_b), d_a * d_a, 0).T
+    f0 = 2.0 * _pairing_objective(ru.conj(), d_a, d_b)
+    place_a, place_b = _placement(d_a, d_b, "A"), _placement(d_a, d_b, "B")
     big = sdp.PsdConstraint(f0, [
         sdp.PsdTerm("YA", place_a, place_a),
         sdp.PsdTerm("YB", place_b, place_b),
     ], name="gram-block")
 
     def scalar_eye(var, d):
-        terms = []
-        for k in range(d):
-            e = np.zeros((d, 1))
-            e[k, 0] = 1.0
-            terms.append(sdp.PsdTerm(var, e, e))
-        return terms
+        return [sdp.PsdTerm(var, e[:, None], e[:, None]) for e in np.eye(d)]
 
     legs = (1, 2) if transposed else (2, 1)
-    cap_a_terms = scalar_eye("alpha", d_a)
-    for row in _leg_trace_rows(d_a, legs[0]):
-        cap_a_terms.append(sdp.PsdTerm("YA", -row, row))
-    cap_b_terms = scalar_eye("beta", d_b)
-    for row in _leg_trace_rows(d_b, legs[1]):
-        cap_b_terms.append(sdp.PsdTerm("YB", -row, row))
+    cap_a_terms = scalar_eye("alpha", d_a) + _trace_cap_terms("YA", _leg_trace_rows(d_a, legs[0]))
+    cap_b_terms = scalar_eye("beta", d_b) + _trace_cap_terms("YB", _leg_trace_rows(d_b, legs[1]))
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable("YA", d_a * d_a), sdp.SdpVariable("YB", d_b * d_b),
                    sdp.SdpVariable("alpha", 1), sdp.SdpVariable("beta", 1)],
@@ -199,7 +186,7 @@ def haagerup_norm_program(u: np.ndarray, d_a: int, d_b: int,
 
 @dataclass
 class HaagerupWitness:
-    """A feasible point of the pairing program: the witness and its Grams.
+    """A witness u contractive in the Haagerup norm, with its Grams.
 
     ``gram_a``/``gram_b`` certify the plain Haagerup constraint; the
     ``transposed_*`` pair, when present, additionally certifies the
@@ -275,10 +262,11 @@ def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     _maybe_dump(problem, dump_path)
     sol = sdp.solve(problem, tol=tol)
     _require_optimal(sol, "one-way value")
-    u, ya, yb = _split_witness(sol.assignments["Z"], g.d_a, g.d_b)
+    # the program is the minimization dual: its dual side is the witness
+    u, ya, yb = _split_witness(sol.dual_blocks[0], g.d_a, g.d_b)
     witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb)
-    achieved = max(sol.primal_value, 0.0)
-    bound = max(sol.dual_value, 0.0)
+    achieved = max(sol.dual_value, 0.0)
+    bound = max(sol.primal_value, 0.0)
     return SdpValue(achieved ** 2, achieved ** 2, bound ** 2, witness, sol)
 
 
@@ -289,9 +277,9 @@ def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     _maybe_dump(problem, dump_path)
     sol = sdp.solve(problem, tol=tol)
     _require_optimal(sol, "symmetrized norm")
-    u, ya, yb = _split_witness(sol.assignments["Z1"], g.d_a, g.d_b)
-    _, ta, tb = _split_witness(sol.assignments["Z2"], g.d_a, g.d_b)
-    witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb, ta, tb)
+    u, ya, yb = _split_witness(sol.assignments["Z"], g.d_a, g.d_b)
+    witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb,
+                              sol.assignments["TA"], sol.assignments["TB"])
     achieved = max(sol.primal_value, 0.0)
     bound = max(sol.dual_value, 0.0)
     return SdpValue(achieved, achieved, bound, witness, sol)

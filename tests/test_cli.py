@@ -80,8 +80,9 @@ class TestValue:
                          "--dump-sdp", str(dump))
         assert code == 0
         prog = json.loads(dump.read_text())
-        assert prog["variables"][0]["name"] == "Z"
-        assert len(prog["psd_constraints"]) == 3
+        assert [v["name"] for v in prog["variables"]] == ["P", "Q"]
+        assert len(prog["psd_constraints"]) == 1
+        assert prog["maximize"] is False
 
     def test_csv_format(self, tmp_path, capsys):
         path = tmp_path / "gc2.json"
@@ -186,6 +187,29 @@ class TestReproduce:
         code, _, err = run(capsys, "reproduce", "--suite", "gaps", "--n-max", "4")
         assert code == 1
         assert "allow-large" in err
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", ["--tol", "1e-7"]),
+        ("simulate", ["--seed", "1"]),
+        ("simulate", ["--format", "json"]),
+        ("simulate", ["--dump-sdp", "x.json"]),
+        ("repeat", ["--seed", "1"]),
+        ("repeat", ["--format", "json"]),
+        ("reproduce", ["--dump-sdp", "x.json"]),
+    ])
+    def test_flag_is_usage_error(self, command, flag, tmp_path, capsys):
+        path = tmp_path / "gc2.json"
+        run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
+        argv = {
+            "simulate": ["--game", str(path), "--strategy", "identity"],
+            "repeat": ["--game", str(path), "--k", "1", "--out", str(tmp_path / "p.json")],
+            "reproduce": ["--suite", "schur"],
+        }[command]
+        code, _, err = run(capsys, command, *argv, *flag)
+        assert code == 1
+        assert "unrecognized arguments" in err
 
 
 class TestDeterminism:

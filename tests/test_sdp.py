@@ -74,6 +74,20 @@ class TestLambdaMaxPrograms:
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(lam, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_epigraph_dual_block(self, kind):
+        rng = np.random.default_rng(8)
+        c = random_hermitian(3, rng)
+        if kind == "real":
+            c = c.real
+        sol = sdp.solve(lambda_max_epigraph_problem(c), tol=1e-7)
+        assert sol.status == "optimal"
+        [x] = sol.dual_blocks
+        assert np.allclose(x, x.conj().T, atol=1e-12)
+        assert np.linalg.eigvalsh(x)[0] >= -1e-7
+        assert np.trace(x).real == pytest.approx(1.0, abs=1e-7)
+        assert np.trace(c @ x).real == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-7)
+
     def test_duality_gap_certified(self):
         rng = np.random.default_rng(11)
         for _ in range(5):

@@ -62,9 +62,28 @@ class TestQowValue:
     def test_program_runs_through_engine(self):
         g, _ = games.game_gc(2)
         problem = values.haagerup_pairing_program(g)
+        # the cap-multiplier dual: dA^2 + dB^2 parameters, one PSD block
+        assert [(v.name, v.side) for v in problem.variables] == [("P", 2), ("Q", 2)]
+        assert len(problem.psd_constraints) == 1 and not problem.maximize
+        assert not values.mu_pairing_program(g).equalities
         sol = sdp.solve(problem, tol=1e-7)
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("case", ["gcr2^2", "random2^2", "random3"])
+    def test_witness_attains_lower_side(self, case, sdp_cache):
+        tol = 1e-7
+        if case == "gcr2^2":
+            g = make_canonical("gcr", 2, power=2)[0]
+            res = sdp_cache("qow", "gcr", 2, power=2, tol=tol)
+        else:
+            rng = np.random.default_rng(7)
+            g = (games.game_power(random_game(2, 2, 1.0, rng), 2) if case == "random2^2"
+                 else random_game(3, 3, 1.0, rng))
+            res = values.qow_value(g, tol=tol)
+        w = res.witness
+        assert np.real(np.sum(g.m * w.u)) == pytest.approx(np.sqrt(res.value), abs=tol)
+        assert values.haagerup_witness_check(w, 10 * tol)
 
     def test_phase_invariance(self):
         g, _ = games.game_gr(2)
