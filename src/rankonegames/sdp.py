@@ -11,17 +11,23 @@ and the total map must be Hermitian-valued on Hermitian inputs.
 
 The solver is a primal-dual path-following interior-point method with
 Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
-Hermitian data is embedded into real-symmetric form once, up front; the
-core iteration is purely real.  Every ``optimal`` exit carries a dual
-certificate: the returned primal and dual values bracket the optimum and
-their gap is at most the requested tolerance.
+It iterates on complex Hermitian blocks of their native side.  Each
+variable's real parameters reach its matrix through a sparse map with at
+most two entries per parameter, and the Schur complement is assembled
+from the factors A and B of the terms, as in the sparsity exploitation of
+Fujisawa, Kojima & Nakata (Math. Programming 79, 1997), so no
+block-sized matrix per parameter is kept.  Every ``optimal`` exit carries
+a dual certificate: the returned primal and dual values bracket the
+optimum and their gap is at most the requested tolerance.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import matrix_to_json
 
@@ -133,40 +139,56 @@ class SdpSolution:
     dual_blocks: list[np.ndarray] = field(default_factory=list)
 
 
-# -- Hermitian parameter bases and realification -----------------------------
+# -- parameter maps and realification ------------------------------------------
 
-def hermitian_basis(side: int) -> list[np.ndarray]:
-    """Orthonormal real basis of Hermitian side x side matrices (d^2 of them)."""
-    basis = []
-    for k in range(side):
-        e = np.zeros((side, side), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    for k in range(side):
-        for l in range(k + 1, side):
-            e = np.zeros((side, side), dtype=complex)
-            e[k, l] = e[l, k] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-            f = np.zeros((side, side), dtype=complex)
-            f[k, l] = 1j / np.sqrt(2.0)
-            f[l, k] = -1j / np.sqrt(2.0)
-            basis.append(f)
-    return basis
+@dataclass(frozen=True)
+class BasisMap:
+    """A variable's orthonormal real basis H_j as a sparse parameter -> entry map.
+
+    H_j has the entry ``coefs[p, j]`` at (``rows[p, j]``, ``cols[p, j]``) for
+    p = 0, 1; a diagonal unit pads its second entry with a zero coefficient.
+    The basis is the diagonal units, then for each k < l the pair
+    (E_kl + E_lk)/sqrt 2, i (E_kl - E_lk)/sqrt 2; real-symmetric variables
+    keep only the first of each pair.
+    """
+    side: int
+    rows: np.ndarray        # (2, size) int
+    cols: np.ndarray        # (2, size) int
+    coefs: np.ndarray       # (2, size) complex
+
+    @property
+    def size(self) -> int:
+        return self.coefs.shape[1]
+
+    def matrix(self, y: np.ndarray) -> np.ndarray:
+        """sum_j y_j H_j."""
+        x = np.zeros((self.side, self.side), dtype=complex)
+        np.add.at(x, (self.rows, self.cols), self.coefs * y)
+        return x
+
+    def traces(self, y: np.ndarray) -> np.ndarray:
+        """(Re tr(H_j Y))_j = (Re sum_ab H_j[a, b] Y[b, a])_j."""
+        return np.sum(self.coefs * y[self.cols, self.rows], axis=0).real
 
 
-def symmetric_basis(side: int) -> list[np.ndarray]:
-    """Orthonormal basis of real symmetric matrices (d(d+1)/2 of them)."""
-    basis = []
-    for k in range(side):
-        e = np.zeros((side, side))
-        e[k, k] = 1.0
-        basis.append(e)
-    for k in range(side):
-        for l in range(k + 1, side):
-            e = np.zeros((side, side))
-            e[k, l] = e[l, k] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-    return basis
+def basis_map(var: SdpVariable) -> BasisMap:
+    """The basis map of a variable: side^2 parameters for a Hermitian
+    variable, side (side + 1) / 2 for a real-symmetric one."""
+    if var.domain not in (HERMITIAN, REAL_SYMMETRIC):
+        raise SdpError(f"unknown variable domain {var.domain!r}")
+    d = var.side
+    r = 1.0 / np.sqrt(2.0)
+    places = [((k, k), (k, k)) for k in range(d)]
+    coefs = [(1.0, 0.0)] * d
+    for k in range(d):
+        for l in range(k + 1, d):
+            places.append(((k, l), (l, k)))
+            coefs.append((r, r))
+            if var.domain == HERMITIAN:
+                places.append(((k, l), (l, k)))
+                coefs.append((1j * r, -1j * r))
+    rows, cols = np.array(places).transpose(2, 1, 0)
+    return BasisMap(d, rows, cols, np.array(coefs, dtype=complex).T)
 
 
 def realify(m: np.ndarray) -> np.ndarray:
@@ -174,26 +196,6 @@ def realify(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     re, im = m.real, m.imag
     return np.block([[re, -im], [im, re]])
-
-
-def _complex_dual(x: np.ndarray) -> np.ndarray:
-    """Complex X with Re tr(K X) = <realify(K), x> for Hermitian K; realify(X)/2
-    averages x with its conjugation by [[0,-I],[I,0]], so X is PSD with x."""
-    s = x.shape[0] // 2
-    return (x[:s, :s] + x[s:, s:]) + 1j * (x[s:, :s] - x[:s, s:])
-
-
-def variable_basis(var: SdpVariable) -> list[np.ndarray]:
-    if var.domain == HERMITIAN:
-        return hermitian_basis(var.side)
-    if var.domain == REAL_SYMMETRIC:
-        return [b.astype(complex) for b in symmetric_basis(var.side)]
-    raise SdpError(f"unknown variable domain {var.domain!r}")
-
-
-def real_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a^dagger b)."""
-    return float(np.real(np.sum(np.conj(a) * b)))
 
 
 def embed_complex(p: SdpProblem) -> SdpProblem:
@@ -223,191 +225,294 @@ def embed_complex(p: SdpProblem) -> SdpProblem:
     return SdpProblem(variables, objective, constraints, equalities, p.maximize)
 
 
-# -- compilation to a real LMI ------------------------------------------------
+# -- compilation to a Hermitian LMI -----------------------------------------------
 
+def _herm(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2.0
+
+
+@dataclass
+class _BlockVar:
+    """The terms of one variable in one block: the block receives
+    sum_t A_t X B_t^dagger, with A_t and B_t of shape side x (variable side)."""
+    var: int
+    left: np.ndarray         # A_t stacked, (n_terms, side, var_side)
+    right_h: np.ndarray      # B_t^dagger stacked, (n_terms, var_side, side)
+    left_cat: np.ndarray     # [A_1 ... A_n], side x (n_terms var_side)
+    right_cat_h: np.ndarray  # [B_1 ... B_n]^dagger, (n_terms var_side) x side
+
+
+@dataclass
+class _Block:
+    constant: np.ndarray     # F0, Hermitian
+    parts: list[_BlockVar]   # one per variable, in variable order
+
+
+@dataclass
 class _CompiledLmi:
-    """maximize g.z subject to F0_c + sum_j z_j G_cj >= 0 per block."""
+    """maximize g.z subject to F0_c + sum_j z_j G_cj >= 0 per block.
 
-    def __init__(self, g, blocks_f0, blocks_g, shift):
-        self.g = g                  # (m,)
-        self.blocks_f0 = blocks_f0  # list of (s_c, s_c) sym
-        self.blocks_g = blocks_g    # list of (m, s_c, s_c) stacks
-        self.shift = shift          # objective constant from eliminated equalities
-
-
-def _compile(problem: SdpProblem, feas_tol: float):
-    """Flatten variables to real parameters and build realified LMI data.
-
-    Returns (lmi, recover) where recover(y_full) maps the full parameter
-    vector back to complex variable assignments, plus the eliminated-space
-    transform pieces needed to undo the reduction.
+    The full parameter vector is y = y0 + N z, with N None when there are
+    no equality constraints; y0 is folded into the constants F0_c.
+    Parameter j of variable v sits at ``offsets[v] + j`` of y, and
+    G_cj = sum_t A_t H_j B_t^dagger over the terms of v in block c, with H_j
+    the basis of ``maps[v]``.
     """
-    bases = {}
-    offsets = {}
-    off = 0
+    g: np.ndarray
+    blocks: list[_Block]
+    maps: list[BasisMap]
+    offsets: list[int]
+    sense: float
+    y0: np.ndarray | None = None
+    nullspace: np.ndarray | None = None
+    shift: float = 0.0       # objective constant from eliminated equalities
+
+    def full(self, z: np.ndarray) -> np.ndarray:
+        """N z, the full-space image of a reduced direction."""
+        return z if self.nullspace is None else self.nullspace @ z
+
+    def params(self, z: np.ndarray) -> np.ndarray:
+        """y0 + N z, the full parameter vector of a reduced point."""
+        return self.full(z) if self.y0 is None else self.y0 + self.full(z)
+
+    def variable(self, y: np.ndarray, v: int) -> np.ndarray:
+        """X_v of the full parameter vector y."""
+        return self.maps[v].matrix(y[self.offsets[v]: self.offsets[v] + self.maps[v].size])
+
+    def apply(self, z: np.ndarray) -> list[np.ndarray]:
+        """sum_j z_j G_cj for every block c."""
+        y = self.full(z)
+        xs = [self.variable(y, v) for v in range(len(self.maps))]
+        out = []
+        for blk in self.blocks:
+            acc = sum((p.left @ xs[p.var] @ p.right_h).sum(axis=0) for p in blk.parts)
+            out.append(_herm(acc))
+        return out
+
+    def adjoint(self, mats: list[np.ndarray]) -> np.ndarray:
+        """(sum_c Re tr(G_cj M_c))_j for Hermitian M_c."""
+        ys = [np.zeros((t.side, t.side), dtype=complex) for t in self.maps]
+        for blk, mat in zip(self.blocks, mats):
+            for p in blk.parts:
+                ys[p.var] += (p.right_h @ mat @ p.left).sum(axis=0)
+        y = np.concatenate([t.traces(yv) for t, yv in zip(self.maps, ys)])
+        return y if self.nullspace is None else self.nullspace.T @ y
+
+    def schur(self, w_blk: list[np.ndarray]) -> np.ndarray:
+        """S_ij = sum_c Re tr(G_ci W_c G_cj W_c), assembled from the term factors.
+
+        Writing H_i = sum_ab T[(a,b), i] E_ab splits the trace into
+        K[(a,b),(c,d)] = sum_{t,t'} (B_t'^dag W A_t)[d,a] (B_t^dag W A_t')[b,c]
+        for each pair of variables (v, v'), summed over the blocks, and
+        S_vv' = Re(T_v^T K T_v').
+        """
+        kmats = {}
+        for blk, w in zip(self.blocks, w_blk):
+            wa = [w @ p.left_cat for p in blk.parts]
+            for i, p in enumerate(blk.parts):
+                for j in range(i, len(blk.parts)):
+                    key = (p.var, blk.parts[j].var)
+                    k = _kron_schur(p, blk.parts[j], wa[i], wa[j])
+                    if key in kmats:
+                        kmats[key] += k
+                    else:
+                        kmats[key] = k
+        m_full = sum(t.size for t in self.maps)
+        s = np.zeros((m_full, m_full))
+        for (v, u), k in kmats.items():
+            tv, tu = self.maps[v], self.maps[u]
+            k4 = k.reshape(tv.side, tu.side, tv.side, tu.side)          # [a, d, b, c]
+            # T_v^T K, indexed [i, d, c], then its columns (c, d) through T_u
+            left = sum(c[:, None, None] * k4[a, :, b, :]
+                       for a, b, c in zip(tv.rows, tv.cols, tv.coefs))
+            block = sum(c * left[:, d, cc] for cc, d, c in zip(tu.rows, tu.cols, tu.coefs))
+            rows = slice(self.offsets[v], self.offsets[v] + tv.size)
+            cols = slice(self.offsets[u], self.offsets[u] + tu.size)
+            s[rows, cols] = block.real
+            if u != v:
+                s[cols, rows] = block.real.T
+        if self.nullspace is not None:
+            s = self.nullspace.T @ s @ self.nullspace
+        return (s + s.T) / 2.0
+
+
+def _kron_schur(p: _BlockVar, q: _BlockVar, wa_p: np.ndarray, wa_q: np.ndarray) -> np.ndarray:
+    """sum_{t of p, t' of q} (B_t'^dag W A_t)[d,a] (B_t^dag W A_t')[b,c], indexed
+    [(a,d),(b,c)], from W [A_1 ... A_n] of both variables: one matmul over the
+    term pairs."""
+    n, _, dp = p.left.shape
+    nq, _, dq = q.left.shape
+    fwd = (p.right_cat_h @ wa_q).reshape(n, dp, nq, dq)    # [t, b, t', c]
+    bwd = (q.right_cat_h @ wa_p).reshape(nq, dq, n, dp)    # [t', d, t, a]
+    lhs = bwd.transpose(3, 1, 2, 0).reshape(dp * dq, n * nq)
+    rhs = fwd.transpose(0, 2, 1, 3).reshape(n * nq, dp * dq)
+    return lhs @ rhs
+
+
+def _coefficient_row(problem, index, maps, offsets, coeffs, what):
+    """(Re tr(C_v^dagger H_j))_j over the full parameter vector."""
+    row = np.zeros(sum(t.size for t in maps))
+    for name, c in coeffs.items():
+        var = problem.variable(name)
+        c = np.asarray(c, dtype=complex)
+        if c.shape != (var.side, var.side):
+            raise SdpError(f"{what} coefficient for {name!r} has wrong shape")
+        v = index[name]
+        row[offsets[v]: offsets[v] + maps[v].size] += maps[v].traces(c.conj().T)
+    return row
+
+
+def _compile_block(problem, index, maps, c_idx, con) -> _Block:
+    f0 = np.asarray(con.constant, dtype=complex)
+    side = f0.shape[0]
+    if f0.shape != (side, side):
+        raise SdpError("PSD constant block must be square")
+    if np.linalg.norm(f0 - f0.conj().T) > 1e-10 * (1.0 + np.linalg.norm(f0)):
+        raise SdpError(f"PSD constant block {c_idx} is not Hermitian")
+    grouped = {}
+    for t in con.terms:
+        var = problem.variable(t.var)
+        a = np.asarray(t.left, dtype=complex)
+        b = np.asarray(t.right, dtype=complex)
+        if a.shape != (side, var.side) or b.shape != (side, var.side):
+            raise SdpError(
+                f"term for {t.var!r} in block {c_idx} has wrong shape "
+                f"(need {side}x{var.side})")
+        grouped.setdefault(index[t.var], []).append((a, b))
+    parts = []
+    for v in sorted(grouped):
+        left = np.stack([a for a, _ in grouped[v]])
+        right_h = np.stack([b.conj().T for _, b in grouped[v]])
+        # Hermitian-valued map check on every G_j = sum_t A_t H_j B_t^dag at once:
+        # G(H)[p, q] = sum_ab M[(p,a),(q,b)] H[a, b] with M = U V^dag, the columns of
+        # U and V being vec(A_t) and vec(B_t), and H -> G(H)^dag has M^dag in its
+        # place.  M - M^dag = [U V] J [U V]^dag, so with [U V] = QR the norm
+        # ||M - M^dag||_F = ||R J R^dag||_F <= 1e-9 bounds every ||G_j - G_j^dag||
+        # by 1e-9 ||H_j||; otherwise each G_j is tested.
+        n = len(left)
+        vec_a = left.reshape(n, -1).T
+        vec_b = right_h.conj().transpose(0, 2, 1).reshape(n, -1).T
+        r = np.linalg.qr(np.hstack([vec_a, vec_b]), mode="r")
+        if np.linalg.norm(r[:, :n] @ r[:, n:].conj().T - r[:, n:] @ r[:, :n].conj().T) > 1e-9:
+            t = maps[v]
+            m4 = (vec_a @ vec_b.conj().T).reshape(side, t.side, side, t.side)
+            gs = sum(c[:, None, None] * m4[:, a, :, b]
+                     for a, b, c in zip(t.rows, t.cols, t.coefs))  # [j, p, q]
+            dev = np.linalg.norm(gs - gs.conj().transpose(0, 2, 1), axis=(1, 2))
+            bad = np.flatnonzero(dev > 1e-9 * (1.0 + np.linalg.norm(gs, axis=(1, 2))))
+            if bad.size:
+                raise SdpError(
+                    f"PSD block {c_idx} is not Hermitian-valued (variable "
+                    f"{problem.variables[v].name!r}, parameter {bad[0]})")
+        parts.append(_BlockVar(v, left, right_h, np.concatenate(left, axis=1),
+                               np.concatenate(right_h, axis=0)))
+    return _Block(_herm(f0), parts)
+
+
+def _compile(problem: SdpProblem, feas_tol: float) -> _CompiledLmi | None:
+    """Parameter maps, objective and stacked term factors of every block.
+
+    Equality constraints are eliminated through y = y0 + N z; returns None
+    when they are inconsistent.
+    """
     for v in problem.variables:
         if v.side <= 0:
             raise SdpError(f"variable {v.name!r} has nonpositive side")
-        bases[v.name] = variable_basis(v)
-        offsets[v.name] = off
-        off += len(bases[v.name])
-    m_full = off
+    maps = [basis_map(v) for v in problem.variables]
+    sizes = [t.size for t in maps]
+    offsets = [int(o) for o in np.cumsum([0] + sizes[:-1])]
+    m_full = sum(sizes)
     if m_full > MAX_PARAMETERS:
         raise SdpError(
             f"problem has {m_full} scalar parameters, beyond the dense "
             f"interior-point scale ({MAX_PARAMETERS}); reduce the dimensions")
+    index = {v.name: i for i, v in enumerate(problem.variables)}
 
     sense = 1.0 if problem.maximize else -1.0
-    g_full = np.zeros(m_full)
-    for name, c in problem.objective.items():
-        var = problem.variable(name)
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (var.side, var.side):
-            raise SdpError(f"objective coefficient for {name!r} has wrong shape")
-        for j, h in enumerate(bases[name]):
-            g_full[offsets[name] + j] = sense * real_inner(c, h)
+    g_full = sense * _coefficient_row(problem, index, maps, offsets, problem.objective,
+                                      "objective")
+    a_eq = np.array([_coefficient_row(problem, index, maps, offsets, eq.coeffs, "equality")
+                     for eq in problem.equalities]).reshape(len(problem.equalities), m_full)
+    r_eq = np.array([eq.rhs for eq in problem.equalities], dtype=float)
 
-    # equality rows over full parameters
-    n_eq = len(problem.equalities)
-    a_eq = np.zeros((n_eq, m_full))
-    r_eq = np.zeros(n_eq)
-    for i, eq in enumerate(problem.equalities):
-        r_eq[i] = eq.rhs
-        for name, e in eq.coeffs.items():
-            var = problem.variable(name)
-            e = np.asarray(e, dtype=complex)
-            if e.shape != (var.side, var.side):
-                raise SdpError(f"equality coefficient for {name!r} has wrong shape")
-            for j, h in enumerate(bases[name]):
-                a_eq[i, offsets[name] + j] += real_inner(e, h)
-
-    # realified PSD blocks: stack of per-parameter coefficient matrices
-    blocks_f0 = []
-    blocks_g_full = []
-    for c_idx, con in enumerate(problem.psd_constraints):
-        f0 = np.asarray(con.constant, dtype=complex)
-        side = f0.shape[0]
-        if f0.shape != (side, side):
-            raise SdpError("PSD constant block must be square")
-        if np.linalg.norm(f0 - f0.conj().T) > 1e-10 * (1.0 + np.linalg.norm(f0)):
-            raise SdpError(f"PSD constant block {c_idx} is not Hermitian")
-        stack = np.zeros((m_full, 2 * side, 2 * side))
-        for t in con.terms:
-            var = problem.variable(t.var)
-            a = np.asarray(t.left, dtype=complex)
-            b = np.asarray(t.right, dtype=complex)
-            if a.shape != (side, var.side) or b.shape != (side, var.side):
-                raise SdpError(
-                    f"term for {t.var!r} in block {c_idx} has wrong shape "
-                    f"(need {side}x{var.side})")
-            for j, h in enumerate(bases[t.var]):
-                k = a @ h @ b.conj().T
-                stack[offsets[t.var] + j] += realify(k)
-        # Hermitian-valued map check: realified parts must be symmetric
-        for j in range(m_full):
-            gj = stack[j]
-            dev = np.linalg.norm(gj - gj.T)
-            if dev > 1e-9 * (1.0 + np.linalg.norm(gj)):
-                raise SdpError(
-                    f"PSD block {c_idx} is not Hermitian-valued (parameter {j})")
-            stack[j] = (gj + gj.T) / 2.0
-        blocks_f0.append(realify(f0))
-        blocks_g_full.append(stack)
-
-    if not blocks_f0:
+    blocks = [_compile_block(problem, index, maps, c_idx, con)
+              for c_idx, con in enumerate(problem.psd_constraints)]
+    if not blocks:
         raise SdpError("problem has no PSD constraints")
 
-    # eliminate equalities: y = y0 + N z
-    if n_eq > 0:
-        y0, *_ = np.linalg.lstsq(a_eq, r_eq, rcond=None)
-        if np.linalg.norm(a_eq @ y0 - r_eq) > feas_tol * (1.0 + np.linalg.norm(r_eq)):
-            return None, (bases, offsets, m_full)  # equalities inconsistent
-        u, s, vt = np.linalg.svd(a_eq, full_matrices=True)
-        rank = int(np.sum(s > max(a_eq.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
-        nbasis = vt[rank:].T  # (m_full, m_red)
-    else:
-        y0 = np.zeros(m_full)
-        nbasis = np.eye(m_full)
-
-    m_red = nbasis.shape[1]
-    g = nbasis.T @ g_full
-    shift = float(g_full @ y0)
-    blocks_f0_red = []
-    blocks_g = []
-    for f0, stack in zip(blocks_f0, blocks_g_full):
-        s_c = f0.shape[0]
-        flat = stack.reshape(m_full, -1)
-        f0_red = f0 + (y0 @ flat).reshape(s_c, s_c)
-        g_red = (nbasis.T @ flat).reshape(m_red, s_c, s_c)
-        blocks_f0_red.append((f0_red + f0_red.T) / 2.0)
-        blocks_g.append(g_red)
-
-    lmi = _CompiledLmi(g, blocks_f0_red, blocks_g, shift)
-    lmi.y0 = y0
-    lmi.nbasis = nbasis
-    lmi.sense = sense
-    return lmi, (bases, offsets, m_full)
+    lmi = _CompiledLmi(g_full, blocks, maps, offsets, sense)
+    if a_eq.shape[0] == 0:
+        return lmi
+    y0, *_ = np.linalg.lstsq(a_eq, r_eq, rcond=None)
+    if np.linalg.norm(a_eq @ y0 - r_eq) > feas_tol * (1.0 + np.linalg.norm(r_eq)):
+        return None
+    _, s, vt = np.linalg.svd(a_eq, full_matrices=True)
+    rank = int(np.sum(s > max(a_eq.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
+    nullspace = vt[rank:].T
+    shifted = [_Block(_herm(blk.constant + f), blk.parts)
+               for blk, f in zip(blocks, lmi.apply(y0))]
+    return dataclasses.replace(lmi, g=nullspace.T @ g_full, blocks=shifted, y0=y0,
+                               nullspace=nullspace, shift=float(g_full @ y0))
 
 
-def _recover_assignments(problem, bases, offsets, y_full):
+def _recover_assignments(problem, lmi, y_full):
     out = {}
-    for v in problem.variables:
-        mats = bases[v.name]
-        x = np.zeros((v.side, v.side), dtype=complex)
-        for j, h in enumerate(mats):
-            x = x + y_full[offsets[v.name] + j] * h
-        if v.domain == REAL_SYMMETRIC:
-            x = x.real
-        out[v.name] = x
+    for v, var in enumerate(problem.variables):
+        x = lmi.variable(y_full, v)
+        out[var.name] = x.real if var.domain == REAL_SYMMETRIC else x
     return out
 
 
 # -- core interior-point iteration -------------------------------------------
 
-def _sym_sqrt_and_inv_sqrt(a):
-    w, q = np.linalg.eigh(a)
-    w = np.clip(w, 1e-300, None)
-    root = np.sqrt(w)
-    return (q * root) @ q.T, (q / root) @ q.T
-
-
-def _nt_scaling(x, s):
-    """W symmetric PD with W S W = X."""
-    s_half, s_inv_half = _sym_sqrt_and_inv_sqrt(s)
-    t = s_half @ x @ s_half
-    t_half, _ = _sym_sqrt_and_inv_sqrt((t + t.T) / 2.0)
-    w = s_inv_half @ t_half @ s_inv_half
-    return (w + w.T) / 2.0
-
-
-def _max_step(pd_matrix, direction):
-    """Largest alpha with pd_matrix + alpha*direction >= 0 (inf if all)."""
+def _cholesky(a):
+    """(L, L^-1) with a = L L^dagger, or None when a is not positive definite."""
     try:
-        l = np.linalg.cholesky(pd_matrix)
+        l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
+        return None
+    return l, np.linalg.inv(l)
+
+
+def _nt_scaling(x, s_chol):
+    """W Hermitian PD with W S W = X: W = L^-dag (L^dag X L)^(1/2) L^-1 for S = L L^dag."""
+    l, li = s_chol
+    w, q = np.linalg.eigh(_herm(l.conj().T @ x @ l))
+    root = (q * np.sqrt(np.clip(w, 1e-300, None))) @ q.conj().T
+    return _herm(li.conj().T @ root @ li)
+
+
+def _max_step(chol, direction):
+    """Largest alpha with L L^dagger + alpha*direction >= 0 (inf if all),
+    given chol = (L, L^-1) from ``_cholesky``; 0 when there is no factor."""
+    if chol is None:
         return 0.0
-    li = np.linalg.inv(l)
-    m = li @ direction @ li.T
-    lam = np.linalg.eigvalsh((m + m.T) / 2.0)[0]
+    li = chol[1]
+    lam = np.linalg.eigvalsh(_herm(li @ direction @ li.conj().T))[0]
     if lam >= -1e-16:
         return np.inf
     return 1.0 / (-lam)
 
 
+def _frobenius(a):
+    """Frobenius norm of the real embedding [[Re A, -Im A], [Im A, Re A]], the
+    scale on which the residual tolerances are set."""
+    return np.sqrt(2.0) * np.linalg.norm(a)
+
+
 def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     """Interior-point loop on: maximize g.z s.t. F0_c + sum z_j G_cj >= 0.
 
-    Dual: minimize <F0, X> s.t. <G_j, X> = -g_j, X >= 0 blockwise.
+    Dual: minimize sum_c Re tr(F0_c X_c) s.t. sum_c Re tr(G_cj X_c) = -g_j,
+    X_c >= 0.  Iterates are complex Hermitian blocks of their native side.
     Returns (status, z, x_blocks, pobj, dobj, iterations, residuals).
     """
     g = lmi.g
     m = g.size
-    blocks_f0 = lmi.blocks_f0
-    blocks_g = lmi.blocks_g
-    n_blocks = len(blocks_f0)
+    blocks_f0 = [blk.constant for blk in lmi.blocks]
     sides = [f0.shape[0] for f0 in blocks_f0]
     n_tot = sum(sides)
-    gmats = [gs.reshape(m, -1) for gs in blocks_g]
+    eyes = [np.eye(s, dtype=complex) for s in sides]
 
     shift = lmi.shift
     data_scale = max(
@@ -417,13 +522,15 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     if m == 0:
         lam_min = min(float(np.linalg.eigvalsh(f0)[0]) for f0 in blocks_f0)
         status = "optimal" if lam_min >= -feas_tol * data_scale else "infeasible"
-        return (status, np.zeros(0), [np.zeros_like(f0) for f0 in blocks_f0], 0.0, 0.0, 0,
+        return (status, np.zeros(0), [np.zeros_like(e) for e in eyes], 0.0, 0.0, 0,
                 {"primal": 0.0, "dual": 0.0, "min_eig": lam_min})
 
+    # S = tau I and X = 2 tau I: the image of the start tau I of the real
+    # embedding, whose trace pairing doubles the Hermitian one
     tau = data_scale
     z = np.zeros(m)
-    s_blk = [tau * np.eye(s) for s in sides]
-    x_blk = [tau * np.eye(s) for s in sides]
+    s_blk = [tau * e for e in eyes]
+    x_blk = [2.0 * tau * e for e in eyes]
 
     status = "max-iters"
     it = 0
@@ -431,16 +538,13 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     prim_res = dual_res = np.inf
     for it in range(1, max_iters + 1):
         # residuals
-        r_p = []
-        for c in range(n_blocks):
-            sz = blocks_f0[c] + np.tensordot(z, blocks_g[c], axes=(0, 0))
-            r_p.append((sz + sz.T) / 2.0 - s_blk[c])
-        r_d = -g - np.sum([gm @ x.reshape(-1) for gm, x in zip(gmats, x_blk)], axis=0)
+        r_p = [f0 + gz - s for f0, gz, s in zip(blocks_f0, lmi.apply(z), s_blk)]
+        r_d = -g - lmi.adjoint(x_blk)
 
-        nu = sum(float(np.sum(x * s)) for x, s in zip(x_blk, s_blk)) / n_tot
+        nu = sum(_pair(x, s) for x, s in zip(x_blk, s_blk)) / n_tot
         pobj = float(g @ z)
-        dobj = sum(float(np.sum(f0 * x)) for f0, x in zip(blocks_f0, x_blk))
-        prim_res = max(np.linalg.norm(r) for r in r_p) / (1.0 + data_scale)
+        dobj = sum(_pair(f0, x) for f0, x in zip(blocks_f0, x_blk))
+        prim_res = max(_frobenius(r) for r in r_p) / (1.0 + data_scale)
         dual_res = float(np.linalg.norm(r_d)) / (1.0 + data_scale)
         gap_abs = abs(pobj - dobj)
 
@@ -451,20 +555,17 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
             break
 
         # divergence: normalized Farkas-type certificates
-        xnorm = sum(float(np.trace(x)) for x in x_blk)
+        xnorm = sum(float(np.trace(x).real) for x in x_blk)
         if xnorm > 1e7 * data_scale:
-            viol = np.linalg.norm(
-                np.sum([gm @ (x / xnorm).reshape(-1) for gm, x in zip(gmats, x_blk)], axis=0))
-            f0x = sum(float(np.sum(f0 * x)) for f0, x in zip(blocks_f0, x_blk)) / xnorm
+            viol = np.linalg.norm(lmi.adjoint([x / xnorm for x in x_blk]))
+            f0x = sum(_pair(f0, x) for f0, x in zip(blocks_f0, x_blk)) / xnorm
             if viol <= 1e-6 and f0x < -1e-9:
                 status = "infeasible"
                 break
         znorm = float(np.linalg.norm(z))
         if znorm > 1e7 * data_scale:
             zhat = z / znorm
-            lam = min(
-                float(np.linalg.eigvalsh(np.tensordot(zhat, blocks_g[c], axes=(0, 0)))[0])
-                for c in range(n_blocks))
+            lam = min(float(np.linalg.eigvalsh(gz)[0]) for gz in lmi.apply(zhat))
             if lam >= -1e-9 and float(g @ zhat) > 1e-9:
                 status = "unbounded"
                 break
@@ -472,25 +573,23 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
             break
 
         # NT scaling and Schur complement (shared by predictor and corrector)
-        w_blk = [_nt_scaling(x, s) for x, s in zip(x_blk, s_blk)]
-        s_inv = []
-        for s in s_blk:
-            w_eig, q = np.linalg.eigh(s)
-            s_inv.append((q / w_eig) @ q.T)
-        schur = np.zeros((m, m))
-        for c in range(n_blocks):
-            wg = np.matmul(w_blk[c], np.matmul(blocks_g[c], w_blk[c]))
-            schur += gmats[c] @ wg.reshape(m, -1).T
-        schur = (schur + schur.T) / 2.0
+        # one Cholesky factor per block serves W, S^-1 and the step lengths
+        s_chol = [_cholesky(s) for s in s_blk]
+        x_chol = [_cholesky(x) for x in x_blk]
+        if any(c is None for c in s_chol):
+            break  # S left the cone; no scaling exists
+        w_blk = [_nt_scaling(x, c) for x, c in zip(x_blk, s_chol)]
+        s_inv = [li.conj().T @ li for _, li in s_chol]
+        schur = lmi.schur(w_blk)
 
         jitter = 0.0
         try:
-            cho = np.linalg.cholesky(schur)
+            cho = scipy.linalg.cho_factor(schur, check_finite=False)
         except np.linalg.LinAlgError:
             jitter = 1e-12 * (1.0 + np.trace(schur) / m)
             for _ in range(6):
                 try:
-                    cho = np.linalg.cholesky(schur + jitter * np.eye(m))
+                    cho = scipy.linalg.cho_factor(schur + jitter * np.eye(m), check_finite=False)
                     break
                 except np.linalg.LinAlgError:
                     jitter *= 100.0
@@ -498,61 +597,53 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
                 break  # hopelessly singular; report best effort
 
         def newton(sigma):
-            rhs = g.copy()
-            for c in range(n_blocks):
-                target = sigma * nu * s_inv[c] - w_blk[c] @ r_p[c] @ w_blk[c]
-                rhs += gmats[c] @ target.reshape(-1)
-            dz = _cho_solve(cho, rhs)
-            ds = [np.tensordot(dz, blocks_g[c], axes=(0, 0)) + r_p[c] for c in range(n_blocks)]
-            ds = [(d + d.T) / 2.0 for d in ds]
-            dx = []
-            for c in range(n_blocks):
-                d = sigma * nu * s_inv[c] - x_blk[c] - w_blk[c] @ ds[c] @ w_blk[c]
-                dx.append((d + d.T) / 2.0)
+            targets = [sigma * nu * si - w @ r @ w for si, w, r in zip(s_inv, w_blk, r_p)]
+            dz = scipy.linalg.cho_solve(cho, g + lmi.adjoint(targets), check_finite=False)
+            ds = [_herm(gd + r) for gd, r in zip(lmi.apply(dz), r_p)]
+            dx = [_herm(sigma * nu * si - x - w @ d @ w)
+                  for si, x, w, d in zip(s_inv, x_blk, w_blk, ds)]
             return dz, ds, dx
 
         # predictor fixes the centering parameter
         _, ds_a, dx_a = newton(0.0)
-        a_p = min([1.0] + [_max_step(x, dx) for x, dx in zip(x_blk, dx_a)])
-        a_d = min([1.0] + [_max_step(s, ds) for s, ds in zip(s_blk, ds_a)])
+        a_p = min([1.0] + [_max_step(c, dx) for c, dx in zip(x_chol, dx_a)])
+        a_d = min([1.0] + [_max_step(c, ds) for c, ds in zip(s_chol, ds_a)])
         nu_aff = sum(
-            float(np.sum((x + a_p * dx) * (s + a_d * ds)))
+            _pair(x + a_p * dx, s + a_d * ds)
             for x, dx, s, ds in zip(x_blk, dx_a, s_blk, ds_a)) / n_tot
         sigma = float(np.clip((max(nu_aff, 0.0) / nu) ** 3, 1e-8, 0.999))
 
         dz, ds, dx = newton(sigma)
-        a_p = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(x, d) for x, d in zip(x_blk, dx)])
-        a_d = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(s, d) for s, d in zip(s_blk, ds)])
+        a_p = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(c, d) for c, d in zip(x_chol, dx)])
+        a_d = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(c, d) for c, d in zip(s_chol, ds)])
         a_p, a_d = min(a_p, 1.0), min(a_d, 1.0)
 
         z = z + a_d * dz
         s_blk = [_make_pd(s + a_d * d) for s, d in zip(s_blk, ds)]
         x_blk = [_make_pd(x + a_p * d) for x, d in zip(x_blk, dx)]
 
-    min_eig = min(
-        float(np.linalg.eigvalsh(
-            blocks_f0[c] + np.tensordot(z, blocks_g[c], axes=(0, 0)))[0])
-        for c in range(n_blocks))
+    min_eig = min(float(np.linalg.eigvalsh(f0 + gz)[0])
+                  for f0, gz in zip(blocks_f0, lmi.apply(z)))
     if status == "optimal" and min_eig < -10.0 * feas_tol * data_scale:
         status = "max-iters"
     residuals = {"primal": float(prim_res), "dual": float(dual_res), "min_eig": min_eig}
     return status, z, x_blk, pobj, dobj, it, residuals
 
 
-def _cho_solve(l, b):
-    y = np.linalg.solve(l, b)
-    return np.linalg.solve(l.T, y)
+def _pair(a, b):
+    """Re tr(A B) for Hermitian A and B."""
+    return float(np.vdot(b, a).real)
 
 
 def _make_pd(a):
-    a = (a + a.T) / 2.0
+    a = _herm(a)
     try:
         np.linalg.cholesky(a)
         return a
     except np.linalg.LinAlgError:
         w, q = np.linalg.eigh(a)
         w = np.clip(w, 1e-14 * max(1.0, float(w[-1])), None)
-        return (q * w) @ q.T
+        return (q * w) @ q.conj().T
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
@@ -568,16 +659,14 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     constraint; with no equalities the dual value is sum_c Re tr(F0_c X_c)
     for a maximization and its negation for a minimization.
     """
-    lmi, meta = _compile(problem, feas_tol)
-    bases, offsets, m_full = meta
+    lmi = _compile(problem, feas_tol)
     if lmi is None:
         return SdpSolution("infeasible", 0.0, 0.0, 0.0, {}, 0, tol, feas_tol,
                            {"primal": np.inf, "dual": np.inf, "min_eig": -np.inf})
 
     status, z, x_blk, pobj, dobj, iters, residuals = _solve_lmi(lmi, tol, feas_tol, max_iters)
 
-    y_full = lmi.y0 + lmi.nbasis @ z
-    assignments = _recover_assignments(problem, bases, offsets, y_full)
+    assignments = _recover_assignments(problem, lmi, lmi.params(z))
     primal = lmi.sense * (pobj + lmi.shift)
     dual = lmi.sense * (dobj + lmi.shift)
     return SdpSolution(
@@ -590,5 +679,5 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
         tol=tol,
         feas_tol=feas_tol,
         residuals=residuals,
-        dual_blocks=[_complex_dual(x) for x in x_blk],
+        dual_blocks=x_blk,
     )

@@ -146,28 +146,47 @@ class SeesawResult:
     converged: bool = False
 
 
-def _contracted_operator(m4, u, v, d_a, d_b, d_ap, d_bp):
+# the see-saw's contractions; their orders depend only on the operand shapes
+_CONTRACTED = "abcd,cuav,dwbz->uwvz"
+_LINEARIZED_U = "abcd,dwbz,uw,vz->cuav"
+_LINEARIZED_V = "abcd,cuav,uw,vz->dwbz"
+
+
+def _einsum_paths(d_a, d_b, d_ap, d_bp):
+    """Contraction orders of the three see-saw einsums, searched once."""
+    m4 = np.empty((d_a, d_b, d_a, d_b), dtype=complex)
+    u4 = np.empty((d_a, d_ap, d_a, d_ap), dtype=complex)
+    v4 = np.empty((d_b, d_bp, d_b, d_bp), dtype=complex)
+    xg = np.empty((d_ap, d_bp), dtype=complex)
+    return {
+        _CONTRACTED: np.einsum_path(_CONTRACTED, m4, u4, v4, optimize="greedy")[0],
+        _LINEARIZED_U: np.einsum_path(_LINEARIZED_U, m4, v4, xg, xg, optimize="greedy")[0],
+        _LINEARIZED_V: np.einsum_path(_LINEARIZED_V, m4, u4, xg, xg, optimize="greedy")[0],
+    }
+
+
+def _contracted_operator(m4, u, v, d_a, d_b, d_ap, d_bp, paths):
     """W = (<gamma| (x) 1)(U (x) V (x) 1)(|psi> (x) 1) on the ancillas."""
     u4 = u.reshape(d_a, d_ap, d_a, d_ap)
     v4 = v.reshape(d_b, d_bp, d_b, d_bp)
-    w4 = np.einsum("abcd,cuav,dwbz->uwvz", m4, u4, v4, optimize=True)
+    w4 = np.einsum(_CONTRACTED, m4, u4, v4, optimize=paths[_CONTRACTED])
     return w4.reshape(d_ap * d_bp, d_ap * d_bp)
 
 
-def _linearized_u(m4, v, x, y, d_a, d_b, d_ap, d_bp):
+def _linearized_u(m4, v, x, y, d_a, d_b, d_ap, d_bp, paths):
     """Coefficient matrix K with objective Re tr(U K^T)."""
     v4 = v.reshape(d_b, d_bp, d_b, d_bp)
     xg = x.reshape(d_ap, d_bp)
     yg = y.reshape(d_ap, d_bp)
-    k4 = np.einsum("abcd,dwbz,uw,vz->cuav", m4, v4, yg.conj(), xg, optimize=True)
+    k4 = np.einsum(_LINEARIZED_U, m4, v4, yg.conj(), xg, optimize=paths[_LINEARIZED_U])
     return k4.reshape(d_a * d_ap, d_a * d_ap)
 
 
-def _linearized_v(m4, u, x, y, d_a, d_b, d_ap, d_bp):
+def _linearized_v(m4, u, x, y, d_a, d_b, d_ap, d_bp, paths):
     u4 = u.reshape(d_a, d_ap, d_a, d_ap)
     xg = x.reshape(d_ap, d_bp)
     yg = y.reshape(d_ap, d_bp)
-    k4 = np.einsum("abcd,cuav,uw,vz->dwbz", m4, u4, yg.conj(), xg, optimize=True)
+    k4 = np.einsum(_LINEARIZED_V, m4, u4, yg.conj(), xg, optimize=paths[_LINEARIZED_V])
     return k4.reshape(d_b * d_bp, d_b * d_bp)
 
 
@@ -193,6 +212,7 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
     rng = np.random.default_rng(seed)
     m4 = g.m.reshape(g.d_a, g.d_b, g.d_a, g.d_b)
     p = purify(g)
+    paths = _einsum_paths(g.d_a, g.d_b, d_ap, d_bp)
 
     best = None
     for r in range(max(1, restarts)):
@@ -206,14 +226,14 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
         converged = False
         x = y = None
         for _ in range(max(1, iters)):
-            w = _contracted_operator(m4, u, v, g.d_a, g.d_b, d_ap, d_bp)
+            w = _contracted_operator(m4, u, v, g.d_a, g.d_b, d_ap, d_bp, paths)
             wl, ws, wr = la.svd(w)
             sigma = float(ws[0])
             y = wl[:, 0]
             x = wr[0, :].conj()
-            ku = _linearized_u(m4, v, x, y, g.d_a, g.d_b, d_ap, d_bp)
+            ku = _linearized_u(m4, v, x, y, g.d_a, g.d_b, d_ap, d_bp, paths)
             u, _ = la.polar_maximizer(ku.T)
-            kv = _linearized_v(m4, u, x, y, g.d_a, g.d_b, d_ap, d_bp)
+            kv = _linearized_v(m4, u, x, y, g.d_a, g.d_b, d_ap, d_bp, paths)
             v, val = la.polar_maximizer(kv.T)
             trace.append(float(val) ** 2)
             if len(trace) > 10:

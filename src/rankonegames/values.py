@@ -255,9 +255,18 @@ def _require_optimal(sol: sdp.SdpSolution, what: str) -> None:
                                f"after {sol.iterations} iterations")
 
 
+def _require_valid(witness: HaagerupWitness, tol: float, what: str) -> None:
+    if not haagerup_witness_check(witness, 10.0 * tol):
+        raise CalculationError(f"{what} failed validation")
+
+
 def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
               dump_path: str | None = None) -> SdpValue:
-    """One-way value: square of the pairing optimum over Haagerup witnesses."""
+    """One-way value: square of the pairing optimum over Haagerup witnesses.
+
+    Raises CalculationError unless the solve is optimal and its witness
+    passes ``haagerup_witness_check`` at 10 * tol.
+    """
     problem = haagerup_pairing_program(g)
     _maybe_dump(problem, dump_path)
     sol = sdp.solve(problem, tol=tol)
@@ -265,6 +274,7 @@ def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     # the program is the minimization dual: its dual side is the witness
     u, ya, yb = _split_witness(sol.dual_blocks[0], g.d_a, g.d_b)
     witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb)
+    _require_valid(witness, tol, "one-way witness")
     achieved = max(sol.dual_value, 0.0)
     bound = max(sol.primal_value, 0.0)
     return SdpValue(achieved ** 2, achieved ** 2, bound ** 2, witness, sol)
@@ -272,7 +282,11 @@ def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
 
 def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
             dump_path: str | None = None) -> SdpValue:
-    """Symmetrized Haagerup norm of the game matrix (not squared)."""
+    """Symmetrized Haagerup norm of the game matrix (not squared).
+
+    Raises CalculationError unless the solve is optimal and its witness
+    passes ``haagerup_witness_check`` at 10 * tol.
+    """
     problem = mu_pairing_program(g)
     _maybe_dump(problem, dump_path)
     sol = sdp.solve(problem, tol=tol)
@@ -280,6 +294,7 @@ def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     u, ya, yb = _split_witness(sol.assignments["Z"], g.d_a, g.d_b)
     witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb,
                               sol.assignments["TA"], sol.assignments["TB"])
+    _require_valid(witness, tol, "symmetrized witness")
     achieved = max(sol.primal_value, 0.0)
     bound = max(sol.dual_value, 0.0)
     return SdpValue(achieved, achieved, bound, witness, sol)
@@ -454,10 +469,6 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     v = maximal_value(g)
     qres = qow_value(g, tol=tol)
     mres = mu_norm(g, tol=tol)
-    if not haagerup_witness_check(qres.witness, 10.0 * tol):
-        raise CalculationError("one-way witness failed validation")
-    if not haagerup_witness_check(mres.witness, 10.0 * tol):
-        raise CalculationError("symmetrized witness failed validation")
     qow_ub = max(qres.achieved, qres.bound)
     mu_lo = min(mres.achieved, mres.bound)
     mu_ub = max(mres.achieved, mres.bound)

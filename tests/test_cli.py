@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rankonegames import cli, games
+from rankonegames import cli, games, values
 from rankonegames.linalg import matrix_to_json
 
 
@@ -187,6 +187,27 @@ class TestReproduce:
         code, _, err = run(capsys, "reproduce", "--suite", "gaps", "--n-max", "4")
         assert code == 1
         assert "allow-large" in err
+
+
+class TestWitnessValidation:
+    @pytest.mark.parametrize("argv", [
+        ["value", "--which", "qow"],
+        ["value", "--which", "mu"],
+        ["repeat", "--k", "2", "--which", "qow"],
+    ])
+    def test_failed_check_exits_3(self, argv, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+        checked = []
+        monkeypatch.setattr(values, "haagerup_witness_check",
+                            lambda w, tol: checked.append(tol) or False)
+        if argv[0] == "repeat":
+            argv = argv + ["--out", str(tmp_path / "sq.json")]
+        code, out, err = run(capsys, argv[0], "--game", str(path), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert "witness failed validation" in err
+        assert checked == [pytest.approx(1e-6)]
 
 
 class TestRemovedFlags:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from rankonegames import sdp
+from rankonegames import sdp, values
 from rankonegames.linalg import random_hermitian
+
+from conftest import random_game
 
 
 def identity_terms(var, side):
@@ -162,6 +164,13 @@ class TestStatuses:
         assert sol.status != "optimal"
         assert sol.status == "unbounded"
 
+    def test_no_variables(self):
+        p = sdp.SdpProblem(variables=[], objective={},
+                           psd_constraints=[sdp.PsdConstraint(np.eye(2))])
+        assert sdp.solve(p).status == "optimal"
+        p.psd_constraints[0].constant = -np.eye(2)
+        assert sdp.solve(p).status == "infeasible"
+
     def test_inconsistent_equalities(self):
         p = lambda_max_problem(np.eye(2))
         p.equalities.append(sdp.EqualityConstraint({"X": np.eye(2)}, 2.0))
@@ -180,6 +189,22 @@ class TestValidation:
         )
         with pytest.raises(sdp.SdpError):
             sdp.solve(bad)
+
+    def test_map_needs_hermitian_values_on_its_domain_only(self):
+        # X -> X_01 - X_10 vanishes on real-symmetric X, not on Hermitian X
+        c = np.array([[2.0, 1.0], [1.0, -1.0]])
+        p = lambda_max_problem(c)
+        p.variables[0] = sdp.SdpVariable("X", 2, sdp.REAL_SYMMETRIC)
+        p.psd_constraints.append(sdp.PsdConstraint(np.eye(1), [
+            sdp.PsdTerm("X", np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
+            sdp.PsdTerm("X", np.array([[0.0, -1.0]]), np.array([[1.0, 0.0]])),
+        ]))
+        sol = sdp.solve(p)
+        assert sol.status == "optimal"
+        assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-6)
+        p.variables[0] = sdp.SdpVariable("X", 2)
+        with pytest.raises(sdp.SdpError, match="not Hermitian-valued"):
+            sdp.solve(p)
 
     def test_json_dump_shape(self):
         p = lambda_max_problem(np.diag([1.0, 2.0]))
@@ -201,3 +226,87 @@ class TestHermitianData:
         assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-6)
         x = sol.assignments["X"]
         assert np.allclose(x, x.conj().T)
+
+
+def mixed_program(rng):
+    """A real-symmetric X and a Hermitian Y in complex blocks, with one equality."""
+    a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    c = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    return sdp.SdpProblem(
+        variables=[sdp.SdpVariable("X", 3, sdp.REAL_SYMMETRIC), sdp.SdpVariable("Y", 2)],
+        objective={"X": random_hermitian(3, rng).real, "Y": random_hermitian(2, rng)},
+        psd_constraints=[
+            sdp.PsdConstraint(np.eye(3), identity_terms("X", 3)),
+            sdp.PsdConstraint(np.eye(4), [sdp.PsdTerm("X", a, a), sdp.PsdTerm("Y", b, b),
+                                          sdp.PsdTerm("Y", b, c), sdp.PsdTerm("Y", c, b)]),
+        ],
+        equalities=[sdp.EqualityConstraint({"X": np.eye(3), "Y": random_hermitian(2, rng)}, 1.0)],
+    )
+
+
+def schur_programs():
+    g = random_game(2, 2, 1.0, np.random.default_rng(31))
+    u = random_game(2, 2, 1.0, np.random.default_rng(32)).m
+    return {
+        "pairing": values.haagerup_pairing_program(g),
+        "pairing-transposed": values.haagerup_pairing_program(g, transposed=True),
+        "mu": values.mu_pairing_program(g),
+        "norm": values.haagerup_norm_program(u, 2, 2),
+        "mixed": mixed_program(np.random.default_rng(33)),
+    }
+
+
+def dense_basis(t):
+    """The basis matrices H_j of a BasisMap, stacked."""
+    mats = np.zeros((t.size, t.side, t.side), dtype=complex)
+    for rows, cols, coefs in zip(t.rows, t.cols, t.coefs):
+        mats[np.arange(t.size), rows, cols] += coefs
+    return mats
+
+
+class TestBasisMap:
+    @pytest.mark.parametrize("domain,count", [(sdp.HERMITIAN, 16), (sdp.REAL_SYMMETRIC, 10)])
+    def test_orthonormal_basis(self, domain, count):
+        t = sdp.basis_map(sdp.SdpVariable("X", 4, domain))
+        mats = dense_basis(t)
+        assert mats.shape == (count, 4, 4)
+        assert np.allclose(mats, mats.conj().transpose(0, 2, 1))
+        flat = mats.reshape(count, -1)
+        assert np.allclose((flat.conj() @ flat.T).real, np.eye(count))
+
+    def test_matrix_and_traces(self):
+        rng = np.random.default_rng(35)
+        t = sdp.basis_map(sdp.SdpVariable("X", 3))
+        mats = dense_basis(t)
+        y = rng.standard_normal(t.size)
+        assert np.allclose(t.matrix(y), np.tensordot(y, mats, axes=1))
+        h = random_hermitian(3, rng)
+        assert np.allclose(t.traces(h), [np.trace(m @ h).real for m in mats])
+
+
+class TestSchurAssembly:
+    @pytest.mark.parametrize("name", ["pairing", "pairing-transposed", "mu", "norm", "mixed"])
+    def test_matches_dense_reference(self, name):
+        problem = schur_programs()[name]
+        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        rng = np.random.default_rng(34)
+        w_blk = []
+        for con in problem.psd_constraints:
+            f = rng.standard_normal(con.constant.shape) + 1j * rng.standard_normal(con.constant.shape)
+            w_blk.append(f @ f.conj().T + 0.1 * np.eye(f.shape[0]))
+        # dense reference: G_cj = sum_t A_t H_j B_t^dag over the terms of H_j's variable
+        gmats = []
+        for var in problem.variables:
+            for h in dense_basis(sdp.basis_map(var)):
+                gmats.append([sum((t.left @ h @ t.right.conj().T for t in con.terms
+                                   if t.var == var.name), np.zeros(con.constant.shape))
+                              for con in problem.psd_constraints])
+        dense = np.array([[sum(np.trace(gi @ w @ gj @ w).real
+                               for gi, gj, w in zip(row, col, w_blk))
+                           for col in gmats] for row in gmats])
+        if problem.equalities:
+            dense = lmi.nullspace.T @ dense @ lmi.nullspace
+        schur = lmi.schur(w_blk)
+        assert schur.shape == dense.shape
+        assert np.linalg.norm(schur - dense) <= 1e-12 * np.linalg.norm(dense)

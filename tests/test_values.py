@@ -271,6 +271,71 @@ class TestMultiplicativity:
         assert abs(squared - single ** 2) <= 1e-4
 
 
+def seeded_game(case):
+    """gcr2, or the complex game the benchmark draws first at seed 101 for its
+    2x2 ("rand2") or 3x3 ("rand3") inputs."""
+    if case == "gcr2":
+        return games.game_gcr(2)[0]
+    rng = np.random.default_rng(101)
+    for _ in range(12 if case == "rand3" else 0):
+        random_game(2, 2, 1.0, rng)
+    d = 3 if case == "rand3" else 2
+    return random_game(d, d, 1.0, rng)
+
+
+class TestParity:
+    # values and iteration counts of the real-embedding solver these
+    # solves reproduce, at tol 1e-7
+    PINNED = {
+        ("gcr2", "qow"): (0.5624999814522527, 8),
+        ("gcr2", "mu"): (0.49999998849410626, 9),
+        ("rand2", "qow"): (0.5399833591347417, 18),
+        ("rand2", "mu"): (0.7299229957421223, 24),
+        ("rand3", "qow"): (0.35475721752575784, 22),
+        ("rand3", "mu"): (0.5873093042702405, 23),
+    }
+
+    @pytest.mark.parametrize("case,which", sorted(PINNED))
+    def test_pinned(self, case, which):
+        value, iterations = self.PINNED[case, which]
+        fn = values.qow_value if which == "qow" else values.mu_norm
+        res = fn(seeded_game(case), tol=1e-7)
+        assert res.value == pytest.approx(value, abs=1e-8)
+        assert abs(res.solution.iterations - iterations) <= 1
+
+
+def swap_players(g):
+    """M[(a,b),(a',b')] -> M[(b,a),(b',a')]."""
+    m4 = g.m.reshape(g.d_a, g.d_b, g.d_a, g.d_b)
+    return games.RankOneGame(g.d_b, g.d_a, m4.transpose(1, 0, 3, 2).reshape(g.m.shape))
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("case", ["rand2", "rand3"])
+    def test_conjugation(self, case):
+        g = seeded_game(case)
+        conj = games.RankOneGame(g.d_a, g.d_b, g.m.conj())
+        assert values.qow_value(conj).value == pytest.approx(
+            values.qow_value(g).value, abs=1e-6)
+        assert values.mu_norm(conj).value == pytest.approx(
+            values.mu_norm(g).value, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["rand2", "rand3"])
+    def test_swap_keeps_mu(self, case):
+        g = seeded_game(case)
+        assert values.mu_norm(swap_players(g)).value == pytest.approx(
+            values.mu_norm(g).value, abs=1e-6)
+
+    @pytest.mark.parametrize("case", ["rand2", "rand3"])
+    def test_swap_maps_qow_to_transposed_program(self, case):
+        g = seeded_game(case)
+        sol = sdp.solve(values.haagerup_pairing_program(g, transposed=True), tol=1e-7)
+        assert sol.status == "optimal"
+        assert values.qow_value(swap_players(g)).value == pytest.approx(
+            sol.primal_value ** 2, abs=1e-6)
+        assert abs(sol.primal_value ** 2 - values.qow_value(g).value) > 1e-3
+
+
 class TestSchurQuantities:
     def test_s_upper_an_family(self):
         for k in (1, 2, 3):
