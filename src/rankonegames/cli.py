@@ -165,6 +165,8 @@ def _load_game(path):
 
 
 def cmd_value(args) -> int:
+    if args.seesaw_restarts < 1:
+        raise UsageError("--seesaw-restarts must be at least 1")
     g, p, _ = _load_game(args.game)
     tol = args.tol
     report = {"game": args.game, "which": args.which, "tol": tol}

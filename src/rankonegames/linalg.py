@@ -144,14 +144,18 @@ def operator_norm(a: np.ndarray) -> float:
 def polar_maximizer(y: np.ndarray):
     """Unitary U maximizing Re tr(U Y); the maximum equals trace_norm(Y).
 
-    With Y = P diag(s) Qdag, the maximizer is U = Q Pdag.
+    With Y = P diag(s) Qdag, the maximizer is U = Q Pdag.  A stack of
+    square matrices, shape (..., n, n), gives the stack of maximizers and
+    the array of maxima, from one stacked SVD.
     """
-    y = as_matrix(y)
-    if y.shape[0] != y.shape[1]:
-        raise DimensionMismatchError("polar_maximizer needs a square matrix")
-    p, s, qdag = svd(y)
-    u = qdag.conj().T @ p.conj().T
-    return u, float(np.sum(s))
+    y = np.asarray(y, dtype=complex)
+    if y.ndim < 2 or y.shape[-1] != y.shape[-2]:
+        raise DimensionMismatchError("polar_maximizer needs square matrices")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("matrix has non-finite entries")
+    p, s, qdag = np.linalg.svd(y)
+    u = qdag.conj().swapaxes(-1, -2) @ p.conj().swapaxes(-1, -2)
+    return u, s.sum(axis=-1)
 
 
 def row_block_norm(blocks) -> float:

@@ -146,48 +146,12 @@ class SeesawResult:
     converged: bool = False
 
 
-# the see-saw's contractions; their orders depend only on the operand shapes
-_CONTRACTED = "abcd,cuav,dwbz->uwvz"
-_LINEARIZED_U = "abcd,dwbz,uw,vz->cuav"
-_LINEARIZED_V = "abcd,cuav,uw,vz->dwbz"
-
-
-def _einsum_paths(d_a, d_b, d_ap, d_bp):
-    """Contraction orders of the three see-saw einsums, searched once."""
-    m4 = np.empty((d_a, d_b, d_a, d_b), dtype=complex)
-    u4 = np.empty((d_a, d_ap, d_a, d_ap), dtype=complex)
-    v4 = np.empty((d_b, d_bp, d_b, d_bp), dtype=complex)
-    xg = np.empty((d_ap, d_bp), dtype=complex)
-    return {
-        _CONTRACTED: np.einsum_path(_CONTRACTED, m4, u4, v4, optimize="greedy")[0],
-        _LINEARIZED_U: np.einsum_path(_LINEARIZED_U, m4, v4, xg, xg, optimize="greedy")[0],
-        _LINEARIZED_V: np.einsum_path(_LINEARIZED_V, m4, u4, xg, xg, optimize="greedy")[0],
-    }
-
-
-def _contracted_operator(m4, u, v, d_a, d_b, d_ap, d_bp, paths):
-    """W = (<gamma| (x) 1)(U (x) V (x) 1)(|psi> (x) 1) on the ancillas."""
-    u4 = u.reshape(d_a, d_ap, d_a, d_ap)
-    v4 = v.reshape(d_b, d_bp, d_b, d_bp)
-    w4 = np.einsum(_CONTRACTED, m4, u4, v4, optimize=paths[_CONTRACTED])
-    return w4.reshape(d_ap * d_bp, d_ap * d_bp)
-
-
-def _linearized_u(m4, v, x, y, d_a, d_b, d_ap, d_bp, paths):
-    """Coefficient matrix K with objective Re tr(U K^T)."""
-    v4 = v.reshape(d_b, d_bp, d_b, d_bp)
-    xg = x.reshape(d_ap, d_bp)
-    yg = y.reshape(d_ap, d_bp)
-    k4 = np.einsum(_LINEARIZED_U, m4, v4, yg.conj(), xg, optimize=paths[_LINEARIZED_U])
-    return k4.reshape(d_a * d_ap, d_a * d_ap)
-
-
-def _linearized_v(m4, u, x, y, d_a, d_b, d_ap, d_bp, paths):
-    u4 = u.reshape(d_a, d_ap, d_a, d_ap)
-    xg = x.reshape(d_ap, d_bp)
-    yg = y.reshape(d_ap, d_bp)
-    k4 = np.einsum(_LINEARIZED_V, m4, u4, yg.conj(), xg, optimize=paths[_LINEARIZED_V])
-    return k4.reshape(d_b * d_bp, d_b * d_bp)
+def _transposed_coefficients(k: np.ndarray, d: int, d_anc: int) -> np.ndarray:
+    """The stack K[r,(i,j),s,t] as the matrices K^T[r,(i,t),(j,s)], whose polar
+    factors are the see-saw's unitary updates."""
+    nr = k.shape[0]
+    return k.reshape(nr, d, d, d_anc, d_anc).transpose(0, 1, 4, 2, 3).reshape(
+        nr, d * d_anc, d * d_anc)
 
 
 def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None = None,
@@ -199,9 +163,14 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
     operator, (b) a polar update of U with everything else fixed, (c) the
     same for V.  Each subproblem is solved exactly, so the per-iteration
     objective is nondecreasing.  The first restart starts from identity
-    unitaries; later restarts draw Haar-random ones from the given seed.
-    The reported value re-evaluates the returned strategy through
-    win_prob_entangled on purify(g), so it is a certified lower bound.
+    unitaries; later restarts draw Haar-random U, then V, from the given
+    seed.  All restarts advance together as one stacked batch, and each
+    keeps its own stopping rule: it is frozen, and leaves the batch, once
+    its objective has gained at most 1e-9 (relative, above 1) over ten
+    iterations, or after `iters` iterations.  The reported value
+    re-evaluates each restart's strategy through win_prob_entangled on
+    purify(g), so it is a certified lower bound; the best restart wins,
+    the earliest among ties.
     """
     if d_ap is None:
         d_ap = g.d_a
@@ -209,43 +178,72 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
         d_bp = g.d_b
     if d_ap < 1 or d_bp < 1:
         raise StrategyError("ancilla dimensions must be at least 1")
+    if restarts < 1 or iters < 1:
+        raise StrategyError("restarts and iters must be at least 1")
+    d_a, d_b = g.d_a, g.d_b
     rng = np.random.default_rng(seed)
-    m4 = g.m.reshape(g.d_a, g.d_b, g.d_a, g.d_b)
-    p = purify(g)
-    paths = _einsum_paths(g.d_a, g.d_b, d_ap, d_bp)
+    us = [np.eye(d_a * d_ap, dtype=complex)]
+    vs = [np.eye(d_b * d_bp, dtype=complex)]
+    for _ in range(1, restarts):
+        us.append(la.random_unitary(d_a * d_ap, rng))
+        vs.append(la.random_unitary(d_b * d_bp, rng))
+    u, v = np.stack(us), np.stack(vs)
 
+    # M[(a,b),(c,d)] regrouped as [(a,c),(b,d)]; U[(c,u),(a,v)], V[(d,w),(b,z)]
+    m_ac_bd = g.m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a ** 2, d_b ** 2)
+    trace = np.zeros((restarts, iters))
+    steps = np.full(restarts, iters)
+    converged = np.zeros(restarts, dtype=bool)
+    final_u, final_v = np.empty_like(u), np.empty_like(v)
+    final_x = np.empty((restarts, d_ap * d_bp), dtype=complex)
+    active = np.arange(restarts)
+    for it in range(iters):
+        nr = active.size
+        # N[r,(a,c),(w,z)] = sum_{b,d} M[a,b,c,d] V[r,d,w,b,z]
+        v_bd_wz = v.reshape(nr, d_b, d_bp, d_b, d_bp).transpose(0, 3, 1, 2, 4)
+        n = m_ac_bd @ v_bd_wz.reshape(nr, d_b ** 2, d_bp ** 2)
+        # the ancilla operator W[r,(u,w),(v,z)] = sum_{a,c} U[r,c,u,a,v] N[r,(a,c),(w,z)]
+        u_uv_ac = u.reshape(nr, d_a, d_ap, d_a, d_ap).transpose(0, 2, 4, 3, 1)
+        w = (u_uv_ac.reshape(nr, d_ap ** 2, d_a ** 2) @ n).reshape(nr, d_ap, d_ap, d_bp, d_bp)
+        wl, _, wr = np.linalg.svd(
+            w.transpose(0, 1, 3, 2, 4).reshape(nr, d_ap * d_bp, d_ap * d_bp))
+        yc = wl[:, :, 0].conj().reshape(nr, 1, d_ap, d_bp)
+        x = wr[:, 0, :].conj()
+        xg = x.reshape(nr, 1, d_ap, d_bp)
+        # <y|W|x> = Re tr(U K_U^T), with K_U[r,c,u,a,v] = (conj(Y) N[r,(a,c)] X^T)[u,v]
+        k_u = yc @ n.reshape(nr, d_a ** 2, d_bp, d_bp) @ xg.swapaxes(-1, -2)
+        u, _ = la.polar_maximizer(_transposed_coefficients(k_u, d_a, d_ap))
+        # the same for V with the new U: K_V[r,d,w,b,z] = (Y^H L[r,(b,d)] X)[w,z],
+        # L[r,(b,d),(u,v)] = sum_{a,c} M[a,b,c,d] U[r,c,u,a,v]
+        u_ac_uv = u.reshape(nr, d_a, d_ap, d_a, d_ap).transpose(0, 3, 1, 2, 4)
+        lu = m_ac_bd.T @ u_ac_uv.reshape(nr, d_a ** 2, d_ap ** 2)
+        k_v = yc.swapaxes(-1, -2) @ lu.reshape(nr, d_b ** 2, d_ap, d_ap) @ xg
+        v, val = la.polar_maximizer(_transposed_coefficients(k_v, d_b, d_bp))
+        trace[active, it] = val ** 2
+        stop = np.zeros(nr, dtype=bool)
+        if it >= 10:
+            last = trace[active, it]
+            stop = last - trace[active, it - 10] <= 1e-9 * np.maximum(1.0, np.abs(last))
+            converged[active[stop]] = True
+        if it == iters - 1:
+            stop[:] = True
+        if stop.any():
+            done = active[stop]
+            final_u[done], final_v[done], final_x[done] = u[stop], v[stop], x[stop]
+            steps[done] = it + 1
+            active, u, v = active[~stop], u[~stop], v[~stop]
+            if not active.size:
+                break
+
+    p = purify(g)
     best = None
-    for r in range(max(1, restarts)):
-        if r == 0:
-            u = np.eye(g.d_a * d_ap, dtype=complex)
-            v = np.eye(g.d_b * d_bp, dtype=complex)
-        else:
-            u = la.random_unitary(g.d_a * d_ap, rng)
-            v = la.random_unitary(g.d_b * d_bp, rng)
-        trace = []
-        converged = False
-        x = y = None
-        for _ in range(max(1, iters)):
-            w = _contracted_operator(m4, u, v, g.d_a, g.d_b, d_ap, d_bp, paths)
-            wl, ws, wr = la.svd(w)
-            sigma = float(ws[0])
-            y = wl[:, 0]
-            x = wr[0, :].conj()
-            ku = _linearized_u(m4, v, x, y, g.d_a, g.d_b, d_ap, d_bp, paths)
-            u, _ = la.polar_maximizer(ku.T)
-            kv = _linearized_v(m4, u, x, y, g.d_a, g.d_b, d_ap, d_bp, paths)
-            v, val = la.polar_maximizer(kv.T)
-            trace.append(float(val) ** 2)
-            if len(trace) > 10:
-                window = trace[-11:]
-                if window[-1] - window[0] <= 1e-9 * max(1.0, abs(window[-1])):
-                    converged = True
-                    break
-        strat = EntangledStrategy(d_ap, d_bp, u, v, x / np.linalg.norm(x))
+    for r in range(restarts):
+        x = final_x[r]
+        strat = EntangledStrategy(d_ap, d_bp, final_u[r], final_v[r], x / np.linalg.norm(x))
         value = win_prob_entangled(p, strat)
         if best is None or value > best.value + 1e-15:
-            best = SeesawResult(value=value, strategy=strat, trace=trace,
-                                restart_index=r, converged=converged)
+            best = SeesawResult(value=value, strategy=strat, trace=trace[r, :steps[r]].tolist(),
+                                restart_index=r, converged=bool(converged[r]))
     return best
 
 

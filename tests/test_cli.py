@@ -233,6 +233,17 @@ class TestRemovedFlags:
         assert "unrecognized arguments" in err
 
 
+class TestSeesawRestarts:
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_is_usage_error(self, tmp_path, capsys, count):
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+        code, out, err = run(capsys, "value", "--game", str(path), "--which", "bracket",
+                             "--seesaw-restarts", count)
+        assert code == 1
+        assert "--seesaw-restarts" in err and out == ""
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = tmp_path / "gcr2.json"

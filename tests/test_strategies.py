@@ -3,6 +3,8 @@ import pytest
 
 from rankonegames import games, linalg as la, strategies as st
 
+from conftest import random_game
+
 
 def identity_strategy(d_a, d_b):
     return st.EntangledStrategy(1, 1, np.eye(d_a, dtype=complex),
@@ -128,6 +130,77 @@ class TestSeesaw:
         r2 = st.seesaw_lower_bound(g, 2, 2, restarts=3, iters=40, seed=5)
         assert r1.value == r2.value
         assert np.array_equal(r1.strategy.u, r2.strategy.u)
+
+
+def reference_restart(g, d_ap, d_bp, u, v, iters):
+    """One see-saw restart from (u, v), run alone with unstacked einsums: the
+    loop that seesaw_lower_bound advances for all restarts at once.  Returns
+    the exact value of the strategy it stops at."""
+    m4 = g.m.reshape(g.d_a, g.d_b, g.d_a, g.d_b)
+    trace = []
+    for _ in range(iters):
+        u4 = u.reshape(g.d_a, d_ap, g.d_a, d_ap)
+        v4 = v.reshape(g.d_b, d_bp, g.d_b, d_bp)
+        w = np.einsum("abcd,cuav,dwbz->uwvz", m4, u4, v4).reshape(d_ap * d_bp, d_ap * d_bp)
+        wl, _, wr = la.svd(w)
+        y, x = wl[:, 0], wr[0, :].conj()
+        yg, xg = y.reshape(d_ap, d_bp).conj(), x.reshape(d_ap, d_bp)
+        ku = np.einsum("abcd,dwbz,uw,vz->cuav", m4, v4, yg, xg)
+        u, _ = la.polar_maximizer(ku.reshape(g.d_a * d_ap, g.d_a * d_ap).T)
+        u4 = u.reshape(g.d_a, d_ap, g.d_a, d_ap)
+        kv = np.einsum("abcd,cuav,uw,vz->dwbz", m4, u4, yg, xg)
+        v, val = la.polar_maximizer(kv.reshape(g.d_b * d_bp, g.d_b * d_bp).T)
+        trace.append(val ** 2)
+        if len(trace) > 10 and trace[-1] - trace[-11] <= 1e-9 * max(1.0, abs(trace[-1])):
+            break
+    strat = st.EntangledStrategy(d_ap, d_bp, u, v, x / np.linalg.norm(x))
+    return st.win_prob_entangled(games.purify(g), strat)
+
+
+def reference_best(g, d_ap, d_bp, restarts, seed, iters):
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for r in range(restarts):
+        if r == 0:
+            u = np.eye(g.d_a * d_ap, dtype=complex)
+            v = np.eye(g.d_b * d_bp, dtype=complex)
+        else:
+            u = la.random_unitary(g.d_a * d_ap, rng)
+            v = la.random_unitary(g.d_b * d_bp, rng)
+        best = max(best, reference_restart(g, d_ap, d_bp, u, v, iters))
+    return best
+
+
+def seesaw_case(case):
+    if case == "gcr2^2":
+        return games.game_power(games.game_gcr(2)[0], 2), 1, 1
+    d = 3 if case == "rand3" else 2
+    return random_game(d, d, 1.0, np.random.default_rng(17)), d, d
+
+
+class TestSeesawBatch:
+    # three iterations stop every restart short of its optimum, so the value
+    # depends on the starts; 200 lets each stop by its own window
+    @pytest.mark.parametrize("iters", [3, 200])
+    @pytest.mark.parametrize("case", ["rand2", "rand3", "gcr2^2"])
+    def test_matches_sequential_reference(self, case, iters):
+        g, d_ap, d_bp = seesaw_case(case)
+        res = st.seesaw_lower_bound(g, d_ap, d_bp, restarts=6, iters=iters, seed=11)
+        expected = reference_best(g, d_ap, d_bp, 6, 11, iters)
+        assert res.value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["rand2", "rand3"])
+    def test_more_restarts_extend_the_same_starts(self, case):
+        g, d_ap, d_bp = seesaw_case(case)
+        few = st.seesaw_lower_bound(g, d_ap, d_bp, restarts=5, seed=23)
+        many = st.seesaw_lower_bound(g, d_ap, d_bp, restarts=20, seed=23)
+        assert many.value >= few.value - 1e-12
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -2}, {"iters": 0}])
+    def test_rejects_non_positive_counts(self, kwargs):
+        g, _ = games.game_gcr(2)
+        with pytest.raises(st.StrategyError):
+            st.seesaw_lower_bound(g, **kwargs)
 
 
 class TestStrategyJson:

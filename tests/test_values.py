@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rankonegames import games, linalg as la, sdp, values
-from rankonegames.strategies import win_prob_entangled
+from rankonegames.strategies import seesaw_lower_bound, win_prob_entangled
 
 from conftest import make_canonical, random_game
 
@@ -285,7 +285,8 @@ def seeded_game(case):
 
 class TestParity:
     # values and iteration counts of the real-embedding solver these
-    # solves reproduce, at tol 1e-7
+    # solves reproduce, at tol 1e-7; see-saw values of the sequential
+    # restart loop the batched one reproduces (20 restarts, seed 101)
     PINNED = {
         ("gcr2", "qow"): (0.5624999814522527, 8),
         ("gcr2", "mu"): (0.49999998849410626, 9),
@@ -293,11 +294,18 @@ class TestParity:
         ("rand2", "mu"): (0.7299229957421223, 24),
         ("rand3", "qow"): (0.35475721752575784, 22),
         ("rand3", "mu"): (0.5873093042702405, 23),
+        ("gcr2", "seesaw"): (0.2500000000000001, None),
+        ("rand2", "seesaw"): (0.532787692169462, None),
+        ("rand3", "seesaw"): (0.344931561248761, None),
     }
 
     @pytest.mark.parametrize("case,which", sorted(PINNED))
     def test_pinned(self, case, which):
         value, iterations = self.PINNED[case, which]
+        if which == "seesaw":
+            res = seesaw_lower_bound(seeded_game(case), restarts=20, seed=101)
+            assert res.value == pytest.approx(value, abs=1e-9)
+            return
         fn = values.qow_value if which == "qow" else values.mu_norm
         res = fn(seeded_game(case), tol=1e-7)
         assert res.value == pytest.approx(value, abs=1e-8)
