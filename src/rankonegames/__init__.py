@@ -17,7 +17,7 @@ from .games import (
     schur_game,
     tensor_purifications,
 )
-from .sdp import SdpProblem, SdpSolution, embed_complex, solve
+from .sdp import SdpProblem, SdpSolution, solve
 from .strategies import (
     EntangledStrategy,
     OneWayStrategy,

@@ -164,29 +164,39 @@ def _load_game(path):
     return g, p, obj
 
 
+def _dump_sdp(path: str, problem) -> None:
+    """Write the program about to be solved as JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(problem.to_json(), fh)
+
+
 def cmd_value(args) -> int:
     if args.seesaw_restarts < 1:
         raise UsageError("--seesaw-restarts must be at least 1")
+    if args.dump_sdp and args.which not in ("qow", "mu"):
+        raise UsageError("--dump-sdp needs --which qow or mu")
     g, p, _ = _load_game(args.game)
     tol = args.tol
     report = {"game": args.game, "which": args.which, "tol": tol}
     if args.which == "V":
         report["value"] = values.maximal_value(g)
     elif args.which == "qow":
-        res = values.qow_value(g, tol=tol, dump_path=args.dump_sdp)
+        if args.dump_sdp:
+            _dump_sdp(args.dump_sdp, values.haagerup_pairing_program(g))
+        res = values.qow_value(g, tol=tol)
         report["value"] = res.value
         report["bound"] = res.bound
         report["solver"] = {"iterations": res.solution.iterations, "gap": res.solution.gap}
     elif args.which == "mu":
-        res = values.mu_norm(g, tol=tol, dump_path=args.dump_sdp)
+        if args.dump_sdp:
+            _dump_sdp(args.dump_sdp, values.mu_pairing_program(g))
+        res = values.mu_norm(g, tol=tol)
         report["value"] = res.value
         report["bound"] = res.bound
         report["solver"] = {"iterations": res.solution.iterations, "gap": res.solution.gap}
     elif args.which == "bracket":
         cfg = values.SeesawConfig(restarts=args.seesaw_restarts, seed=args.seed)
         rep = values.entangled_value_bounds(g, tol=tol, seesaw_cfg=cfg)
-        if args.dump_sdp:
-            values._maybe_dump(values.haagerup_pairing_program(g), args.dump_sdp)
         report.update(rep.to_json())
     else:
         raise UsageError(f"unknown quantity {args.which!r}")
@@ -242,6 +252,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_repeat(args) -> int:
+    if args.dump_sdp and args.which != "qow":
+        raise UsageError("--dump-sdp needs --which qow")
     g, p, obj = _load_game(args.game)
     if args.k < 1:
         raise UsageError("--k must be at least 1")
@@ -258,15 +270,15 @@ def cmd_repeat(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dump_json(out_obj) + "\n")
     report = {"out": args.out, "dA": gk.d_a, "dB": gk.d_b, "k": args.k}
+    if args.which == "V":
+        report["value"] = values.maximal_value(gk)
+    elif args.which == "qow":
+        if args.dump_sdp:
+            _dump_sdp(args.dump_sdp, values.haagerup_pairing_program(gk))
+        res = values.qow_value(gk, tol=args.tol)
+        report["value"] = res.value
+        report["bound"] = res.bound
     if args.which:
-        if args.which == "V":
-            report["value"] = values.maximal_value(gk)
-        elif args.which == "qow":
-            res = values.qow_value(gk, tol=args.tol, dump_path=args.dump_sdp)
-            report["value"] = res.value
-            report["bound"] = res.bound
-        else:
-            raise UsageError("--which for repeat supports V or qow")
         report["which"] = args.which
     sys.stdout.write(dump_json(report) + "\n")
     return EXIT_OK
@@ -330,9 +342,10 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
             "gcr^2", n, "seesaw_lower_deficit", 0.0,
             max(0.0, omega2 - res.value), 1e-6))
         if n <= 3:
-            # the squared-game program has block side 2 n^4, and the dense
-            # solver's stacks at n = 4 would need gigabytes; the exact
-            # protocol rows above still certify the failure at every n
+            # the squared-game program has block side 2 n^4: 162 at n = 3
+            # (0.7 s) and 512 at n = 4 (about 17 s at 260 MB peak), so these
+            # rows stop at n = 3 to keep the table quick; the exact protocol
+            # rows above still certify the failure at every n
             qow2 = values.qow_value(g2, tol=tol).value
             rows.append(ReproductionRow(
                 "gcr^2", n, "omega_qow", (closed) ** 2, qow2, 1e-4))
@@ -422,7 +435,7 @@ def build_parser() -> _Parser:
     p_value.add_argument("--seesaw-restarts", type=int, default=20)
     common(p_value)
     p_value.add_argument("--dump-sdp", dest="dump_sdp", default=None,
-                         help="write the solved SDP to this path as JSON")
+                         help="write the SDP of --which qow or mu to this path as JSON")
     p_value.set_defaults(func=cmd_value)
 
     p_sim = sub.add_parser("simulate", help="evaluate a strategy against a game")
@@ -438,10 +451,12 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--game", required=True)
     p_rep.add_argument("--k", type=int, required=True)
     p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--which", default=None, help="also compute V or qow on the power")
+    p_rep.add_argument("--which", default=None, choices=("V", "qow"),
+                       help="also compute V or qow on the power")
     p_rep.add_argument("--side-cap", type=int, default=games.DEFAULT_SIDE_CAP)
     p_rep.add_argument("--tol", type=float, default=1e-7)
-    p_rep.add_argument("--dump-sdp", dest="dump_sdp", default=None)
+    p_rep.add_argument("--dump-sdp", dest="dump_sdp", default=None,
+                       help="write the SDP of --which qow to this path as JSON")
     p_rep.set_defaults(func=cmd_repeat)
 
     p_repro = sub.add_parser("reproduce", help="reproduce the published closed forms")

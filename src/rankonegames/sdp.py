@@ -139,7 +139,7 @@ class SdpSolution:
     dual_blocks: list[np.ndarray] = field(default_factory=list)
 
 
-# -- parameter maps and realification ------------------------------------------
+# -- parameter maps ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BasisMap:
@@ -189,40 +189,6 @@ def basis_map(var: SdpVariable) -> BasisMap:
                 coefs.append((1j * r, -1j * r))
     rows, cols = np.array(places).transpose(2, 1, 0)
     return BasisMap(d, rows, cols, np.array(coefs, dtype=complex).T)
-
-
-def realify(m: np.ndarray) -> np.ndarray:
-    """H -> [[Re H, -Im H], [Im H, Re H]]; a *-homomorphism on matrices."""
-    m = np.asarray(m, dtype=complex)
-    re, im = m.real, m.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def embed_complex(p: SdpProblem) -> SdpProblem:
-    """Real-symmetric program with the same optimum as the complex one.
-
-    Every variable doubles its side via H -> [[Re H, -Im H],[Im H, Re H]];
-    objective and equality coefficients pick up a factor 1/2 because the
-    embedding doubles traces.  PSD is preserved in both directions, and
-    averaging any feasible point of the embedded program with its
-    conjugation by [[0,-I],[I,0]] lands back on an embedded point with the
-    same objective, so the optima agree.
-    """
-    variables = [SdpVariable(v.name, 2 * v.side, REAL_SYMMETRIC) for v in p.variables]
-    objective = {k: realify(c) / 2.0 for k, c in p.objective.items()}
-    constraints = [
-        PsdConstraint(
-            constant=realify(c.constant),
-            terms=[PsdTerm(t.var, realify(t.left), realify(t.right)) for t in c.terms],
-            name=c.name,
-        )
-        for c in p.psd_constraints
-    ]
-    equalities = [
-        EqualityConstraint({k: realify(m) / 2.0 for k, m in e.coeffs.items()}, e.rhs, e.name)
-        for e in p.equalities
-    ]
-    return SdpProblem(variables, objective, constraints, equalities, p.maximize)
 
 
 # -- compilation to a Hermitian LMI -----------------------------------------------
@@ -357,6 +323,8 @@ def _coefficient_row(problem, index, maps, offsets, coeffs, what):
         c = np.asarray(c, dtype=complex)
         if c.shape != (var.side, var.side):
             raise SdpError(f"{what} coefficient for {name!r} has wrong shape")
+        if not np.all(np.isfinite(c)):
+            raise SdpError(f"{what} coefficient for {name!r} is not finite")
         v = index[name]
         row[offsets[v]: offsets[v] + maps[v].size] += maps[v].traces(c.conj().T)
     return row
@@ -367,6 +335,8 @@ def _compile_block(problem, index, maps, c_idx, con) -> _Block:
     side = f0.shape[0]
     if f0.shape != (side, side):
         raise SdpError("PSD constant block must be square")
+    if not np.all(np.isfinite(f0)):
+        raise SdpError(f"PSD constant block {c_idx} is not finite")
     if np.linalg.norm(f0 - f0.conj().T) > 1e-10 * (1.0 + np.linalg.norm(f0)):
         raise SdpError(f"PSD constant block {c_idx} is not Hermitian")
     grouped = {}
@@ -378,6 +348,8 @@ def _compile_block(problem, index, maps, c_idx, con) -> _Block:
             raise SdpError(
                 f"term for {t.var!r} in block {c_idx} has wrong shape "
                 f"(need {side}x{var.side})")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise SdpError(f"term for {t.var!r} in block {c_idx} is not finite")
         grouped.setdefault(index[t.var], []).append((a, b))
     parts = []
     for v in sorted(grouped):
@@ -434,6 +406,8 @@ def _compile(problem: SdpProblem, feas_tol: float) -> _CompiledLmi | None:
     a_eq = np.array([_coefficient_row(problem, index, maps, offsets, eq.coeffs, "equality")
                      for eq in problem.equalities]).reshape(len(problem.equalities), m_full)
     r_eq = np.array([eq.rhs for eq in problem.equalities], dtype=float)
+    if not np.all(np.isfinite(r_eq)):
+        raise SdpError("equality right-hand side is not finite")
 
     blocks = [_compile_block(problem, index, maps, c_idx, con)
               for c_idx, con in enumerate(problem.psd_constraints)]
@@ -570,6 +544,7 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
                 status = "unbounded"
                 break
         if not (np.isfinite(nu) and nu > 0 and np.isfinite(pobj) and np.isfinite(dobj)):
+            status = "numerical-error"
             break
 
         # NT scaling and Schur complement (shared by predictor and corrector)
@@ -577,7 +552,8 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
         s_chol = [_cholesky(s) for s in s_blk]
         x_chol = [_cholesky(x) for x in x_blk]
         if any(c is None for c in s_chol):
-            break  # S left the cone; no scaling exists
+            status = "stalled"  # S left the cone; no scaling exists
+            break
         w_blk = [_nt_scaling(x, c) for x, c in zip(x_blk, s_chol)]
         s_inv = [li.conj().T @ li for _, li in s_chol]
         schur = lmi.schur(w_blk)
@@ -594,7 +570,8 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
                 except np.linalg.LinAlgError:
                     jitter *= 100.0
             else:
-                break  # hopelessly singular; report best effort
+                status = "singular"
+                break
 
         def newton(sigma):
             targets = [sigma * nu * si - w @ r @ w for si, w, r in zip(s_inv, w_blk, r_p)]
@@ -651,10 +628,25 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Solve the problem; never reports an uncertified ``optimal``.
 
-    On status ``optimal`` the primal and dual values are within ``tol`` of
-    each other (relative to max(1, values)), every PSD block has minimum
-    eigenvalue >= -10*feas_tol at the returned point, and equality
-    residuals vanish by construction of the eliminated parameterization.
+    The status is one of:
+
+    - ``optimal``: certified, as below;
+    - ``infeasible`` / ``unbounded``: a normalized divergence certificate
+      was found, or the equality constraints are inconsistent;
+    - ``max-iters``: ``max_iters`` iterations ran without certifying, or
+      the final point failed the eigenvalue check below;
+    - ``stalled``: the slack S left the PSD cone, so no scaling exists;
+    - ``singular``: the Schur complement stayed singular after six
+      growing diagonal jitters;
+    - ``numerical-error``: the duality measure or an objective stopped
+      being finite.
+
+    Problem data that are not finite raise ``SdpError`` before any
+    iteration.  On status ``optimal`` the primal and dual values are
+    within ``tol`` of each other (relative to max(1, values)), every PSD
+    block has minimum eigenvalue >= -10*feas_tol at the returned point,
+    and equality residuals vanish by construction of the eliminated
+    parameterization.
     ``dual_blocks`` holds the Hermitian PSD dual matrix X_c of each PSD
     constraint; with no equalities the dual value is sum_c Re tr(F0_c X_c)
     for a maximization and its negation for a minimization.

@@ -169,8 +169,10 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
     its objective has gained at most 1e-9 (relative, above 1) over ten
     iterations, or after `iters` iterations.  The reported value
     re-evaluates each restart's strategy through win_prob_entangled on
-    purify(g), so it is a certified lower bound; the best restart wins,
-    the earliest among ties.
+    purify(g), so it is a certified lower bound.  The winner is the
+    lowest-index restart whose value is within 1e-13 (relative, above 1)
+    of the best, and the result reports that restart's own value,
+    strategy, trace and convergence.
     """
     if d_ap is None:
         d_ap = g.d_a
@@ -236,15 +238,16 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
                 break
 
     p = purify(g)
-    best = None
-    for r in range(restarts):
-        x = final_x[r]
-        strat = EntangledStrategy(d_ap, d_bp, final_u[r], final_v[r], x / np.linalg.norm(x))
-        value = win_prob_entangled(p, strat)
-        if best is None or value > best.value + 1e-15:
-            best = SeesawResult(value=value, strategy=strat, trace=trace[r, :steps[r]].tolist(),
-                                restart_index=r, converged=bool(converged[r]))
-    return best
+    strats = [EntangledStrategy(d_ap, d_bp, final_u[r], final_v[r],
+                                final_x[r] / np.linalg.norm(final_x[r]))
+              for r in range(restarts)]
+    wins = np.array([win_prob_entangled(p, s) for s in strats])
+    best = wins.max()
+    # restarts that reach the same optimum differ by rounding noise
+    r = int(np.flatnonzero(wins >= best - 1e-13 * max(1.0, abs(best)))[0])
+    return SeesawResult(value=float(wins[r]), strategy=strats[r],
+                        trace=trace[r, :steps[r]].tolist(), restart_index=r,
+                        converged=bool(converged[r]))
 
 
 # -- strategy files -------------------------------------------------------------

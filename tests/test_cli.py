@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rankonegames import cli, games, values
 from rankonegames.linalg import matrix_to_json
@@ -84,6 +87,34 @@ class TestValue:
         assert len(prog["psd_constraints"]) == 1
         assert prog["maximize"] is False
 
+    def test_dump_sdp_mu(self, tmp_path, capsys):
+        path = tmp_path / "gc2.json"
+        run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
+        dump = tmp_path / "program.json"
+        code, _, _ = run(capsys, "value", "--game", str(path), "--which", "mu",
+                         "--dump-sdp", str(dump))
+        assert code == 0
+        prog = json.loads(dump.read_text())
+        assert [v["name"] for v in prog["variables"]] == ["Z", "TA", "TB"]
+
+    @pytest.mark.parametrize("argv", [
+        ["value", "--which", "V"],
+        ["value", "--which", "bracket"],
+        ["repeat", "--k", "1"],
+        ["repeat", "--k", "1", "--which", "V"],
+    ])
+    def test_dump_sdp_without_a_program_is_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "gc2.json"
+        run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
+        dump = tmp_path / "program.json"
+        if argv[0] == "repeat":
+            argv = argv + ["--out", str(tmp_path / "p.json")]
+        code, out, err = run(capsys, argv[0], "--game", str(path), *argv[1:],
+                             "--dump-sdp", str(dump))
+        assert code == 1
+        assert "--dump-sdp" in err and out == ""
+        assert not dump.exists()
+
     def test_csv_format(self, tmp_path, capsys):
         path = tmp_path / "gc2.json"
         run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
@@ -151,6 +182,16 @@ class TestRepeat:
         rep = json.loads(out)
         assert rep["value"] == pytest.approx((1.0 / 16.0) * 1.5 ** 4, abs=1e-4)
 
+    def test_unknown_which_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "gc2.json"
+        run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
+        out2 = tmp_path / "sq.json"
+        code, out, err = run(capsys, "repeat", "--game", str(path), "--k", "2",
+                             "--out", str(out2), "--which", "mu")
+        assert code == 1
+        assert "--which" in err and out == ""
+        assert not out2.exists()
+
     def test_cap_exceeded(self, tmp_path, capsys):
         path = tmp_path / "gcr3.json"
         run(capsys, "make", "--family", "gcr", "--n", "3", "--out", str(path))
@@ -210,6 +251,21 @@ class TestWitnessValidation:
         assert checked == [pytest.approx(1e-6)]
 
 
+class TestSolverStatus:
+    def test_singular_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        code, out, err = run(capsys, "value", "--game", str(path), "--which", "qow")
+        assert code == 3
+        assert out == ""
+        assert "'singular'" in err
+
+
 class TestRemovedFlags:
     @pytest.mark.parametrize("command,flag", [
         ("simulate", ["--tol", "1e-7"]),
@@ -263,3 +319,13 @@ class TestDeterminism:
     def test_float_formatting_17g(self):
         text = cli.dump_json({"x": 1.0 / 3.0})
         assert text == '{"x":0.33333333333333331}'
+
+
+class TestImport:
+    def test_package_leaves_out_scipy_optimize(self):
+        # a fresh interpreter, so modules the tests import do not count
+        code = ("import sys, rankonegames, rankonegames.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

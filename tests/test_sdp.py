@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rankonegames import sdp, values
 from rankonegames.linalg import random_hermitian
 
+import oracles
 from conftest import random_game
 
 
@@ -111,19 +113,19 @@ class TestLambdaMaxPrograms:
 class TestEmbedComplex:
     def test_pauli_y_embedding_eigs(self):
         h = np.array([[0.0, 1j], [-1j, 0.0]])
-        emb = sdp.realify(h)
+        emb = oracles.realify(h)
         assert np.allclose(np.sort(np.linalg.eigvalsh(emb)), [-1.0, -1.0, 1.0, 1.0])
 
     def test_real_symmetric_unchanged_up_to_doubling(self):
         s = np.array([[2.0, 1.0], [1.0, -1.0]])
-        emb = sdp.realify(s)
+        emb = oracles.realify(s)
         assert np.allclose(emb, np.block([[s, np.zeros((2, 2))], [np.zeros((2, 2)), s]]))
 
     def test_lambda_max_preserved(self):
         rng = np.random.default_rng(13)
         c = random_hermitian(3, rng)
         lam = np.linalg.eigvalsh(c)[-1]
-        assert np.linalg.eigvalsh(sdp.realify(c))[-1] == pytest.approx(lam, abs=1e-12)
+        assert np.linalg.eigvalsh(oracles.realify(c))[-1] == pytest.approx(lam, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [14, 15])
     def test_roundtrip_optimum(self, seed):
@@ -131,7 +133,7 @@ class TestEmbedComplex:
         c = random_hermitian(3, rng)
         p = lambda_max_problem(c)
         direct = sdp.solve(p, tol=1e-7)
-        embedded = sdp.solve(sdp.embed_complex(p), tol=1e-7)
+        embedded = sdp.solve(oracles.embed_complex(p), tol=1e-7)
         assert embedded.status == "optimal"
         assert embedded.primal_value == pytest.approx(direct.primal_value, abs=2e-7)
 
@@ -171,6 +173,21 @@ class TestStatuses:
         p.psd_constraints[0].constant = -np.eye(2)
         assert sdp.solve(p).status == "infeasible"
 
+    @pytest.mark.parametrize("status", ["singular", "stalled", "numerical-error"])
+    def test_early_exit(self, status, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        if status == "singular":
+            monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        elif status == "stalled":
+            monkeypatch.setattr(sdp, "_cholesky", lambda a: None)
+        else:
+            monkeypatch.setattr(sdp, "_pair", lambda a, b: float("nan"))
+        sol = sdp.solve(lambda_max_epigraph_problem(np.diag([1.0, 2.0])))
+        assert sol.status == status
+        assert sol.iterations == 1
+
     def test_inconsistent_equalities(self):
         p = lambda_max_problem(np.eye(2))
         p.equalities.append(sdp.EqualityConstraint({"X": np.eye(2)}, 2.0))
@@ -204,6 +221,23 @@ class TestValidation:
         assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-6)
         p.variables[0] = sdp.SdpVariable("X", 2)
         with pytest.raises(sdp.SdpError, match="not Hermitian-valued"):
+            sdp.solve(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["constant", "term", "objective", "equality", "rhs"])
+    def test_non_finite_data_rejected(self, kind, bad):
+        p = lambda_max_problem(np.diag([1.0, 2.0]))
+        if kind == "rhs":
+            p.equalities[0].rhs = bad
+        else:
+            data = {
+                "constant": p.psd_constraints[0].constant,
+                "term": p.psd_constraints[0].terms[0].left,
+                "objective": p.objective["X"],
+                "equality": p.equalities[0].coeffs["X"],
+            }[kind]
+            data[0, 0] = bad
+        with pytest.raises(sdp.SdpError, match="not finite"):
             sdp.solve(p)
 
     def test_json_dump_shape(self):
@@ -252,7 +286,7 @@ def schur_programs():
         "pairing": values.haagerup_pairing_program(g),
         "pairing-transposed": values.haagerup_pairing_program(g, transposed=True),
         "mu": values.mu_pairing_program(g),
-        "norm": values.haagerup_norm_program(u, 2, 2),
+        "norm": oracles.haagerup_norm_program(u, 2, 2),
         "mixed": mixed_program(np.random.default_rng(33)),
     }
 
