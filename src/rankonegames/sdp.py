@@ -1,7 +1,8 @@
 """Small dense semidefinite programs over Hermitian variables.
 
-A problem is a list of named matrix variables (``hermitian`` or
-``real-symmetric``), a real-linear objective given by one coefficient
+A problem is a list of named matrix variables (``hermitian``,
+``real-symmetric``, or ``off-diagonal``: Hermitian with zero diagonal
+blocks about a split index), a real-linear objective given by one coefficient
 matrix per variable, affine PSD constraints, and scalar affine equality
 constraints.  Each PSD constraint is
 
@@ -33,6 +34,7 @@ from .linalg import matrix_to_json
 
 HERMITIAN = "hermitian"
 REAL_SYMMETRIC = "real-symmetric"
+OFF_DIAGONAL = "off-diagonal"
 
 DEFAULT_TOL = 1e-7
 DEFAULT_FEAS_TOL = 1e-8
@@ -48,9 +50,12 @@ class SdpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpVariable:
+    """A matrix variable; an ``off-diagonal`` one is Hermitian with its
+    entries (k, l) zero unless k < split <= l or l < split <= k."""
     name: str
     side: int
     domain: str = HERMITIAN
+    split: int | None = None
 
 
 @dataclass
@@ -94,7 +99,8 @@ class SdpProblem:
         return {
             "maximize": self.maximize,
             "variables": [
-                {"name": v.name, "side": v.side, "domain": v.domain}
+                {"name": v.name, "side": v.side, "domain": v.domain,
+                 **({} if v.split is None else {"split": v.split})}
                 for v in self.variables
             ],
             "objective": {k: matrix_to_json(c) for k, c in self.objective.items()},
@@ -149,7 +155,8 @@ class BasisMap:
     p = 0, 1; a diagonal unit pads its second entry with a zero coefficient.
     The basis is the diagonal units, then for each k < l the pair
     (E_kl + E_lk)/sqrt 2, i (E_kl - E_lk)/sqrt 2; real-symmetric variables
-    keep only the first of each pair.
+    keep only the first of each pair, and off-diagonal variables keep no
+    diagonal unit and only the pairs with k < split <= l.
     """
     side: int
     rows: np.ndarray        # (2, size) int
@@ -173,18 +180,26 @@ class BasisMap:
 
 def basis_map(var: SdpVariable) -> BasisMap:
     """The basis map of a variable: side^2 parameters for a Hermitian
-    variable, side (side + 1) / 2 for a real-symmetric one."""
-    if var.domain not in (HERMITIAN, REAL_SYMMETRIC):
-        raise SdpError(f"unknown variable domain {var.domain!r}")
+    variable, side (side + 1) / 2 for a real-symmetric one, and
+    2 split (side - split) for an off-diagonal one, which keeps only the
+    pairs with k < split <= l and no diagonal units."""
     d = var.side
+    if var.domain not in (HERMITIAN, REAL_SYMMETRIC, OFF_DIAGONAL):
+        raise SdpError(f"unknown variable domain {var.domain!r}")
+    diagonal = var.domain != OFF_DIAGONAL
+    if diagonal != (var.split is None) or not diagonal and not 0 < var.split < d:
+        raise SdpError(f"variable {var.name!r}: an off-diagonal variable, and only "
+                       f"that, needs a split in (0, {d})")
     r = 1.0 / np.sqrt(2.0)
-    places = [((k, k), (k, k)) for k in range(d)]
-    coefs = [(1.0, 0.0)] * d
+    places = [((k, k), (k, k)) for k in range(d)] if diagonal else []
+    coefs = [(1.0, 0.0)] * len(places)
     for k in range(d):
         for l in range(k + 1, d):
+            if not diagonal and not k < var.split <= l:
+                continue
             places.append(((k, l), (l, k)))
             coefs.append((r, r))
-            if var.domain == HERMITIAN:
+            if var.domain != REAL_SYMMETRIC:
                 places.append(((k, l), (l, k)))
                 coefs.append((1j * r, -1j * r))
     rows, cols = np.array(places).transpose(2, 1, 0)
@@ -575,7 +590,11 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
 
         def newton(sigma):
             targets = [sigma * nu * si - w @ r @ w for si, w, r in zip(s_inv, w_blk, r_p)]
-            dz = scipy.linalg.cho_solve(cho, g + lmi.adjoint(targets), check_finite=False)
+            rhs = g + lmi.adjoint(targets)
+            dz = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+            # one step of iterative refinement against the unjittered complement
+            # keeps the dual residual down when the complement is ill-conditioned
+            dz += scipy.linalg.cho_solve(cho, rhs - schur @ dz, check_finite=False)
             ds = [_herm(gd + r) for gd, r in zip(lmi.apply(dz), r_p)]
             dx = [_herm(sigma * nu * si - x - w @ d @ w)
                   for si, x, w, d in zip(s_inv, x_blk, w_blk, ds)]

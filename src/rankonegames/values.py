@@ -16,11 +16,15 @@ operator-sum constraints become partial-trace caps on those Grams,
 The one-way value is solved as the Lagrange dual of this program, over
 the dA^2 + dB^2 multipliers of the two caps; the dual matrix of its one
 PSD block is the witness.  The transposed Haagerup norm caps the
-complementary legs; the symmetrized norm ``mu`` constrains one witness
+complementary legs.  The symmetrized norm ``mu`` constrains one witness
 by both programs at once, and the entangled value then sits in
-[mu^2/4, mu^2].  The tests cross-check the block form against brute-force
-minimization over explicit decompositions and against a witness-side
-norm SDP; both second routes live in ``tests/oracles.py``.
+[mu^2/4, mu^2].  It is solved as its split dual, the infimum over
+M = M1 + M2 of ||M1||_h + ||M2||_h^t: two multiplier blocks joined by an
+off-diagonal split variable, whose two dual matrices are the witness with
+its plain and its transposed Grams.  The tests cross-check the block form
+against brute-force minimization over explicit decompositions, against a
+witness-side norm SDP and against the witness side of ``mu``; these
+second routes live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -74,9 +78,11 @@ def _cap_rows(d_a: int, d_b: int, side: str, leg: int):
     return [row @ place.T for row in _leg_trace_rows(d_a if side == "A" else d_b, leg)]
 
 
-def _trace_cap_terms(var: str, rows):
-    """Terms for -sum_k e_k X e_k^dag, the negated partial trace of the rows."""
-    return [sdp.PsdTerm(var, -row, row) for row in rows]
+def _multiplier_terms(p: str, q: str, d_a: int, d_b: int, legs) -> list[sdp.PsdTerm]:
+    """Terms placing the cap multipliers P (dA x dA) and Q (dB x dB) on the
+    diagonal blocks through the adjoints of the cap rows on legs (A, B)."""
+    terms = [sdp.PsdTerm(p, row.T, row.T) for row in _cap_rows(d_a, d_b, "A", legs[0])]
+    return terms + [sdp.PsdTerm(q, row.T, row.T) for row in _cap_rows(d_a, d_b, "B", legs[1])]
 
 
 def _pairing_objective(rm: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -99,9 +105,7 @@ def haagerup_pairing_program(g: RankOneGame, transposed: bool = False) -> sdp.Sd
     """
     d_a, d_b = g.d_a, g.d_b
     rm = la.realign(g.m, d_a, d_b)
-    legs = (1, 2) if transposed else (2, 1)
-    terms = [sdp.PsdTerm("P", row.T, row.T) for row in _cap_rows(d_a, d_b, "A", legs[0])]
-    terms += [sdp.PsdTerm("Q", row.T, row.T) for row in _cap_rows(d_a, d_b, "B", legs[1])]
+    terms = _multiplier_terms("P", "Q", d_a, d_b, (1, 2) if transposed else (2, 1))
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable("P", d_a), sdp.SdpVariable("Q", d_b)],
         objective={"P": np.eye(d_a), "Q": np.eye(d_b)},
@@ -112,42 +116,33 @@ def haagerup_pairing_program(g: RankOneGame, transposed: bool = False) -> sdp.Sd
 
 
 def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
-    """max Re <M, u> with one witness feasible for both Haagerup programs.
+    """min tr P1 + tr Q1 + tr P2 + tr Q2 over splits of the pairing objective.
 
-    The diagonal blocks of Z are the Grams of the plain program.  The
-    transposed program shares Z's off-diagonal block, kept as
-    Z - Pi_A Z Pi_A - Pi_B Z Pi_B, and has its own Grams TA and TB.
+    This is the Lagrange dual of max Re <M, u> over u contractive in both
+    Haagerup norms, that is, the infimum over splits M = M1 + M2 of
+    ||M1||_h + ||M2||_h^t.  The plain block carries the multipliers P1, Q1
+    of the plain caps and -K; the transposed block carries P2, Q2 on the
+    complementary legs and K - C.  K keeps only its off-diagonal blocks,
+    so the program has 2 dA^2 dB^2 + 2 (dA^2 + dB^2) real parameters.
+    The dual matrices of the two blocks share their off-diagonal block
+    (the witness) and hold the plain and the transposed Grams.
     """
     d_a, d_b = g.d_a, g.d_b
     s = d_a * d_a + d_b * d_b
-    rm = la.realign(g.m, d_a, d_b)
     eye = np.eye(s)
-    place_a, place_b = _placement(d_a, d_b, "A"), _placement(d_a, d_b, "B")
-    proj_a, proj_b = place_a @ place_a.T, place_b @ place_b.T
-    transposed_block = [
-        sdp.PsdTerm("Z", eye, eye),
-        sdp.PsdTerm("Z", -proj_a, proj_a),
-        sdp.PsdTerm("Z", -proj_b, proj_b),
-        sdp.PsdTerm("TA", place_a, place_a),
-        sdp.PsdTerm("TB", place_b, place_b),
-    ]
-    constraints = [
-        sdp.PsdConstraint(np.zeros((s, s)), [sdp.PsdTerm("Z", eye, eye)], name="witness-psd-h"),
-        sdp.PsdConstraint(np.zeros((s, s)), transposed_block, name="witness-psd-ht"),
-        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("Z", _cap_rows(d_a, d_b, "A", 2)),
-                          name="alice-cap-h"),
-        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("Z", _cap_rows(d_a, d_b, "B", 1)),
-                          name="bob-cap-h"),
-        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("TA", _leg_trace_rows(d_a, 1)),
-                          name="alice-cap-ht"),
-        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("TB", _leg_trace_rows(d_b, 2)),
-                          name="bob-cap-ht"),
-    ]
+    plain = _multiplier_terms("P1", "Q1", d_a, d_b, (2, 1)) + [sdp.PsdTerm("K", -eye, eye)]
+    transposed = _multiplier_terms("P2", "Q2", d_a, d_b, (1, 2)) + [sdp.PsdTerm("K", eye, eye)]
+    sides = {"P1": d_a, "Q1": d_b, "P2": d_a, "Q2": d_b}
     return sdp.SdpProblem(
-        variables=[sdp.SdpVariable("Z", s), sdp.SdpVariable("TA", d_a * d_a),
-                   sdp.SdpVariable("TB", d_b * d_b)],
-        objective={"Z": _pairing_objective(rm, d_a, d_b)},
-        psd_constraints=constraints,
+        variables=[sdp.SdpVariable(name, d) for name, d in sides.items()]
+        + [sdp.SdpVariable("K", s, sdp.OFF_DIAGONAL, split=d_a * d_a)],
+        objective={name: np.eye(d) for name, d in sides.items()},
+        psd_constraints=[
+            sdp.PsdConstraint(np.zeros((s, s)), plain, name="plain-block"),
+            sdp.PsdConstraint(-_pairing_objective(la.realign(g.m, d_a, d_b), d_a, d_b),
+                              transposed, name="transposed-block"),
+        ],
+        maximize=False,
     )
 
 
@@ -254,12 +249,14 @@ def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
     """
     sol = sdp.solve(mu_pairing_program(g), tol=tol)
     _require_optimal(sol, "symmetrized norm")
-    u, ya, yb = _split_witness(sol.assignments["Z"], g.d_a, g.d_b)
-    witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb,
-                              sol.assignments["TA"], sol.assignments["TB"])
+    # the program is the minimization dual: the plain block's dual matrix is
+    # the witness with its Grams, the transposed block's holds the other Grams
+    u, ya, yb = _split_witness(sol.dual_blocks[0], g.d_a, g.d_b)
+    _, ta, tb = _split_witness(sol.dual_blocks[1], g.d_a, g.d_b)
+    witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb, ta, tb)
     _require_valid(witness, tol, "symmetrized witness")
-    achieved = max(sol.primal_value, 0.0)
-    bound = max(sol.dual_value, 0.0)
+    achieved = max(sol.dual_value, 0.0)
+    bound = max(sol.primal_value, 0.0)
     return SdpValue(achieved, achieved, bound, witness, sol)
 
 

@@ -7,6 +7,8 @@ None of these is used by a command or a value function:
 - ``haagerup_norm_program`` and ``haagerup_norm`` certify the Haagerup norm
   of a given witness u on the witness side, from the same cap builders as
   the package's pairing programs;
+- ``mu_witness_program`` is the witness side of the symmetrized norm, whose
+  split dual the package solves;
 - ``realify`` and ``embed_complex`` turn a complex program into the
   equivalent real-symmetric one, so the solver can be run on both.
 """
@@ -26,14 +28,20 @@ from rankonegames.sdp import (
     SdpProblem,
     SdpVariable,
 )
+from rankonegames.games import RankOneGame
 from rankonegames.values import (
     DEFAULT_SDP_TOL,
+    _cap_rows,
     _leg_trace_rows,
     _pairing_objective,
     _placement,
     _require_optimal,
-    _trace_cap_terms,
 )
+
+
+def _trace_cap_terms(var: str, rows):
+    """Terms for -sum_k e_k X e_k^dag, the negated partial trace of the rows."""
+    return [sdp.PsdTerm(var, -row, row) for row in rows]
 
 
 # -- witness-side Haagerup norm ---------------------------------------------------
@@ -74,6 +82,48 @@ def haagerup_norm(u: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_SDP_TO
     sol = sdp.solve(haagerup_norm_program(u, d_a, d_b, transposed=transposed), tol=tol)
     _require_optimal(sol, "haagerup norm")
     return float(sol.primal_value), float(sol.dual_value)
+
+
+# -- witness-side symmetrized norm ------------------------------------------------
+
+def mu_witness_program(g: RankOneGame) -> sdp.SdpProblem:
+    """max Re <M, u> with one witness feasible for both Haagerup programs.
+
+    The diagonal blocks of Z are the Grams of the plain program.  The
+    transposed program shares Z's off-diagonal block, kept as
+    Z - Pi_A Z Pi_A - Pi_B Z Pi_B, and has its own Grams TA and TB.
+    """
+    d_a, d_b = g.d_a, g.d_b
+    s = d_a * d_a + d_b * d_b
+    rm = la.realign(g.m, d_a, d_b)
+    eye = np.eye(s)
+    place_a, place_b = _placement(d_a, d_b, "A"), _placement(d_a, d_b, "B")
+    proj_a, proj_b = place_a @ place_a.T, place_b @ place_b.T
+    transposed_block = [
+        sdp.PsdTerm("Z", eye, eye),
+        sdp.PsdTerm("Z", -proj_a, proj_a),
+        sdp.PsdTerm("Z", -proj_b, proj_b),
+        sdp.PsdTerm("TA", place_a, place_a),
+        sdp.PsdTerm("TB", place_b, place_b),
+    ]
+    constraints = [
+        sdp.PsdConstraint(np.zeros((s, s)), [sdp.PsdTerm("Z", eye, eye)], name="witness-psd-h"),
+        sdp.PsdConstraint(np.zeros((s, s)), transposed_block, name="witness-psd-ht"),
+        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("Z", _cap_rows(d_a, d_b, "A", 2)),
+                          name="alice-cap-h"),
+        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("Z", _cap_rows(d_a, d_b, "B", 1)),
+                          name="bob-cap-h"),
+        sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("TA", _leg_trace_rows(d_a, 1)),
+                          name="alice-cap-ht"),
+        sdp.PsdConstraint(np.eye(d_b), _trace_cap_terms("TB", _leg_trace_rows(d_b, 2)),
+                          name="bob-cap-ht"),
+    ]
+    return sdp.SdpProblem(
+        variables=[sdp.SdpVariable("Z", s), sdp.SdpVariable("TA", d_a * d_a),
+                   sdp.SdpVariable("TB", d_b * d_b)],
+        objective={"Z": _pairing_objective(rm, d_a, d_b)},
+        psd_constraints=constraints,
+    )
 
 
 # -- brute-force cross-check ------------------------------------------------------

@@ -95,7 +95,11 @@ class TestValue:
                          "--dump-sdp", str(dump))
         assert code == 0
         prog = json.loads(dump.read_text())
-        assert [v["name"] for v in prog["variables"]] == ["Z", "TA", "TB"]
+        # the split dual: cap multipliers of both programs and the split K
+        assert [v["name"] for v in prog["variables"]] == ["P1", "Q1", "P2", "Q2", "K"]
+        assert prog["variables"][-1] == {"name": "K", "side": 8, "domain": "off-diagonal",
+                                         "split": 4}
+        assert len(prog["psd_constraints"]) == 2 and not prog["maximize"]
 
     @pytest.mark.parametrize("argv", [
         ["value", "--which", "V"],

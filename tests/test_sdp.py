@@ -286,6 +286,7 @@ def schur_programs():
         "pairing": values.haagerup_pairing_program(g),
         "pairing-transposed": values.haagerup_pairing_program(g, transposed=True),
         "mu": values.mu_pairing_program(g),
+        "mu-witness": oracles.mu_witness_program(g),
         "norm": oracles.haagerup_norm_program(u, 2, 2),
         "mixed": mixed_program(np.random.default_rng(33)),
     }
@@ -309,6 +310,22 @@ class TestBasisMap:
         flat = mats.reshape(count, -1)
         assert np.allclose((flat.conj() @ flat.T).real, np.eye(count))
 
+    @pytest.mark.parametrize("na,nb", [(4, 4), (4, 9), (1, 3)])
+    def test_off_diagonal_basis(self, na, nb):
+        t = sdp.basis_map(sdp.SdpVariable("K", na + nb, sdp.OFF_DIAGONAL, split=na))
+        mats = dense_basis(t)
+        assert mats.shape == (2 * na * nb, na + nb, na + nb)
+        assert np.allclose(mats, mats.conj().transpose(0, 2, 1))
+        flat = mats.reshape(t.size, -1)
+        assert np.allclose((flat.conj() @ flat.T).real, np.eye(t.size))
+        assert not np.any(mats[:, :na, :na]) and not np.any(mats[:, na:, na:])
+
+    @pytest.mark.parametrize("domain,split", [(sdp.OFF_DIAGONAL, None), (sdp.OFF_DIAGONAL, 0),
+                                              (sdp.OFF_DIAGONAL, 4), (sdp.HERMITIAN, 2)])
+    def test_split_only_inside_an_off_diagonal_variable(self, domain, split):
+        with pytest.raises(sdp.SdpError, match="split"):
+            sdp.basis_map(sdp.SdpVariable("K", 4, domain, split=split))
+
     def test_matrix_and_traces(self):
         rng = np.random.default_rng(35)
         t = sdp.basis_map(sdp.SdpVariable("X", 3))
@@ -320,7 +337,8 @@ class TestBasisMap:
 
 
 class TestSchurAssembly:
-    @pytest.mark.parametrize("name", ["pairing", "pairing-transposed", "mu", "norm", "mixed"])
+    @pytest.mark.parametrize("name", ["pairing", "pairing-transposed", "mu", "mu-witness",
+                                      "norm", "mixed"])
     def test_matches_dense_reference(self, name):
         problem = schur_programs()[name]
         lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)

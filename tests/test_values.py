@@ -272,29 +272,45 @@ class TestMultiplicativity:
         assert abs(squared - single ** 2) <= 1e-4
 
 
-def seeded_game(case):
-    """gcr2, or the complex game the benchmark draws first at seed 101 for its
-    2x2 ("rand2") or 3x3 ("rand3") inputs."""
+def seeded_game(case, seed=101, index=0):
+    """gcr2, or the complex game the benchmark draws as its 2x2 ("rand2") or
+    3x3 ("rand3") input number ``index`` at ``seed``."""
     if case == "gcr2":
         return games.game_gcr(2)[0]
-    rng = np.random.default_rng(101)
-    for _ in range(12 if case == "rand3" else 0):
+    rng = np.random.default_rng(seed)
+    for _ in range(index + (12 if case == "rand3" else 0)):
         random_game(2, 2, 1.0, rng)
     d = 3 if case == "rand3" else 2
     return random_game(d, d, 1.0, rng)
 
 
+def solve_mu_witness(g):
+    """The witness-side mu program, solved at tol 1e-7: a maximization, so its
+    certified interval is [primal_value, dual_value]."""
+    sol = sdp.solve(oracles.mu_witness_program(g), tol=1e-7)
+    assert sol.status == "optimal"
+    return sol
+
+
+def intervals_overlap(a, b, tol):
+    return max(min(a), min(b)) <= min(max(a), max(b)) + tol
+
+
 class TestParity:
-    # values and iteration counts of the real-embedding solver these
-    # solves reproduce, at tol 1e-7; see-saw values of the sequential
-    # restart loop the batched one reproduces (20 restarts, seed 101)
+    # values and iteration counts at tol 1e-7: qow and witness-side mu as the
+    # real-embedding solver gave them, mu of its split dual, and see-saw values
+    # of the sequential restart loop the batched one reproduces (20 restarts,
+    # seed 101)
     PINNED = {
         ("gcr2", "qow"): (0.5624999814522527, 8),
-        ("gcr2", "mu"): (0.49999998849410626, 9),
+        ("gcr2", "mu"): (0.4999999994243527, 9),
+        ("gcr2", "mu-witness"): (0.49999998849410626, 9),
         ("rand2", "qow"): (0.5399833591347417, 18),
-        ("rand2", "mu"): (0.7299229957421223, 24),
+        ("rand2", "mu"): (0.7299230284599413, 17),
+        ("rand2", "mu-witness"): (0.7299229957421223, 24),
         ("rand3", "qow"): (0.35475721752575784, 22),
-        ("rand3", "mu"): (0.5873093042702405, 23),
+        ("rand3", "mu"): (0.5873093246173734, 29),
+        ("rand3", "mu-witness"): (0.5873093042702405, 23),
         ("gcr2", "seesaw"): (0.2500000000000001, None),
         ("rand2", "seesaw"): (0.532787692169462, None),
         ("rand3", "seesaw"): (0.344931561248761, None),
@@ -303,14 +319,41 @@ class TestParity:
     @pytest.mark.parametrize("case,which", sorted(PINNED))
     def test_pinned(self, case, which):
         value, iterations = self.PINNED[case, which]
+        g = seeded_game(case)
         if which == "seesaw":
-            res = seesaw_lower_bound(seeded_game(case), restarts=20, seed=101)
+            res = seesaw_lower_bound(g, restarts=20, seed=101)
             assert res.value == pytest.approx(value, abs=1e-9)
             return
-        fn = values.qow_value if which == "qow" else values.mu_norm
-        res = fn(seeded_game(case), tol=1e-7)
-        assert res.value == pytest.approx(value, abs=1e-8)
-        assert abs(res.solution.iterations - iterations) <= 1
+        if which == "mu-witness":
+            sol = solve_mu_witness(g)
+            got, its = sol.primal_value, sol.iterations
+        else:
+            fn = values.qow_value if which == "qow" else values.mu_norm
+            res = fn(g, tol=1e-7)
+            got, its = res.value, res.solution.iterations
+        assert got == pytest.approx(value, abs=1e-8)
+        assert abs(its - iterations) <= 1
+
+    @pytest.mark.parametrize("case", ["gcr2", "rand2", "rand3"])
+    def test_mu_programs_overlap(self, case):
+        # the split dual and the witness form certify the same norm
+        g = seeded_game(case)
+        res = values.mu_norm(g, tol=1e-7)
+        sol = solve_mu_witness(g)
+        assert intervals_overlap((res.achieved, res.bound), (sol.primal_value, sol.dual_value),
+                                 1e-7)
+
+    def test_mu_near_the_plain_norm(self):
+        # benchmark bracket game rand2-6 at seed 110: mu is 5.5e-5 below the
+        # plain Haagerup norm, so the optimal split is nearly M2 = 0 and the
+        # Schur complement grows ill-conditioned
+        g = seeded_game("rand2", seed=110, index=6)
+        res = values.mu_norm(g, tol=1e-7)
+        assert res.solution.status == "optimal"
+        assert np.sqrt(values.qow_value(g).value) - res.value < 1e-4
+        sol = solve_mu_witness(g)
+        assert intervals_overlap((res.achieved, res.bound), (sol.primal_value, sol.dual_value),
+                                 1e-7)
 
     def test_seesaw_tie_goes_to_lowest_restart(self):
         # restart 2 is within 2e-14 of the best, and a later restart edges it
@@ -347,6 +390,13 @@ class TestMetamorphic:
             values.qow_value(g).value, abs=1e-6)
         assert values.mu_norm(moved).value == pytest.approx(
             values.mu_norm(g).value, abs=1e-6)
+
+    @pytest.mark.parametrize("second", ["rand2", "rand3"])
+    def test_qow_multiplicative_on_distinct_pairs(self, second):
+        g = seeded_game("rand2")
+        h = seeded_game(second, index=1)
+        assert values.qow_value(games.game_tensor(g, h)).value == pytest.approx(
+            values.qow_value(g).value * values.qow_value(h).value, abs=1e-6)
 
     @pytest.mark.parametrize("case", ["rand2", "rand3"])
     def test_swap_keeps_mu(self, case):
