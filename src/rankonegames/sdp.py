@@ -28,7 +28,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import matrix_to_json
 
@@ -42,6 +41,8 @@ DEFAULT_MAX_ITERS = 200
 STEP_FRACTION = 0.98
 # dense Schur complement: memory grows with the parameter count squared
 MAX_PARAMETERS = 8000
+# side below which _lower_inverse hands a triangle to np.linalg.inv
+INVERSE_LEAF = 32
 
 
 class SdpError(RuntimeError):
@@ -460,7 +461,40 @@ def _cholesky(a):
         l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-    return l, np.linalg.inv(l)
+    return l, _lower_inverse(l)
+
+
+def _lower_inverse(l):
+    """L^-1 of a lower-triangular L by halves (Du Croz & Higham, IMA J. Numer.
+    Anal. 12, 1992): [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]],
+    so all but the leaves is matmuls."""
+    n = l.shape[0]
+    if n <= INVERSE_LEAF:
+        return np.linalg.inv(l)
+    h = n // 2
+    ai = _lower_inverse(l[:h, :h])
+    ci = _lower_inverse(l[h:, h:])
+    out = np.zeros_like(l)
+    out[:h, :h] = ai
+    out[h:, h:] = ci
+    out[h:, :h] = -ci @ (l[h:, :h] @ ai)
+    return out
+
+
+def _factor_schur(schur):
+    """(L, L^-1) of the Schur complement, with the first of six growing
+    diagonal jitters that makes it factor if it does not; None if none does."""
+    chol = _cholesky(schur)
+    if chol is not None:
+        return chol
+    m = schur.shape[0]
+    jitter = 1e-12 * (1.0 + np.trace(schur) / m)
+    for _ in range(6):
+        chol = _cholesky(schur + jitter * np.eye(m))
+        if chol is not None:
+            return chol
+        jitter *= 100.0
+    return None
 
 
 def _nt_scaling(x, s_chol):
@@ -521,6 +555,9 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     s_blk = [tau * e for e in eyes]
     x_blk = [2.0 * tau * e for e in eyes]
 
+    s_chol = [_cholesky(s) for s in s_blk]
+    x_chol = [_cholesky(x) for x in x_blk]
+
     status = "max-iters"
     it = 0
     pobj = dobj = 0.0
@@ -562,39 +599,28 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
             status = "numerical-error"
             break
 
-        # NT scaling and Schur complement (shared by predictor and corrector)
-        # one Cholesky factor per block serves W, S^-1 and the step lengths
-        s_chol = [_cholesky(s) for s in s_blk]
-        x_chol = [_cholesky(x) for x in x_blk]
+        # NT scaling and Schur complement (shared by predictor and corrector);
+        # the Cholesky factor of each block, taken when the iterate was made PD,
+        # serves W, S^-1 and the step lengths
         if any(c is None for c in s_chol):
             status = "stalled"  # S left the cone; no scaling exists
             break
         w_blk = [_nt_scaling(x, c) for x, c in zip(x_blk, s_chol)]
         s_inv = [li.conj().T @ li for _, li in s_chol]
         schur = lmi.schur(w_blk)
-
-        jitter = 0.0
-        try:
-            cho = scipy.linalg.cho_factor(schur, check_finite=False)
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * (1.0 + np.trace(schur) / m)
-            for _ in range(6):
-                try:
-                    cho = scipy.linalg.cho_factor(schur + jitter * np.eye(m), check_finite=False)
-                    break
-                except np.linalg.LinAlgError:
-                    jitter *= 100.0
-            else:
-                status = "singular"
-                break
+        schur_chol = _factor_schur(schur)
+        if schur_chol is None:
+            status = "singular"
+            break
+        schur_li = schur_chol[1]
 
         def newton(sigma):
             targets = [sigma * nu * si - w @ r @ w for si, w, r in zip(s_inv, w_blk, r_p)]
             rhs = g + lmi.adjoint(targets)
-            dz = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+            dz = schur_li.T @ (schur_li @ rhs)
             # one step of iterative refinement against the unjittered complement
             # keeps the dual residual down when the complement is ill-conditioned
-            dz += scipy.linalg.cho_solve(cho, rhs - schur @ dz, check_finite=False)
+            dz += schur_li.T @ (schur_li @ (rhs - schur @ dz))
             ds = [_herm(gd + r) for gd, r in zip(lmi.apply(dz), r_p)]
             dx = [_herm(sigma * nu * si - x - w @ d @ w)
                   for si, x, w, d in zip(s_inv, x_blk, w_blk, ds)]
@@ -615,15 +641,15 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
         a_p, a_d = min(a_p, 1.0), min(a_d, 1.0)
 
         z = z + a_d * dz
-        s_blk = [_make_pd(s + a_d * d) for s, d in zip(s_blk, ds)]
-        x_blk = [_make_pd(x + a_p * d) for x, d in zip(x_blk, dx)]
+        s_blk, s_chol = zip(*[_make_pd(s + a_d * d) for s, d in zip(s_blk, ds)])
+        x_blk, x_chol = zip(*[_make_pd(x + a_p * d) for x, d in zip(x_blk, dx)])
 
     min_eig = min(float(np.linalg.eigvalsh(f0 + gz)[0])
                   for f0, gz in zip(blocks_f0, lmi.apply(z)))
     if status == "optimal" and min_eig < -10.0 * feas_tol * data_scale:
         status = "max-iters"
     residuals = {"primal": float(prim_res), "dual": float(dual_res), "min_eig": min_eig}
-    return status, z, x_blk, pobj, dobj, it, residuals
+    return status, z, list(x_blk), pobj, dobj, it, residuals
 
 
 def _pair(a, b):
@@ -632,14 +658,16 @@ def _pair(a, b):
 
 
 def _make_pd(a):
+    """The Hermitian part of a, with its eigenvalues raised to 1e-14 of the
+    largest if it has no Cholesky factor, and its ``_cholesky`` (L, L^-1)."""
     a = _herm(a)
-    try:
-        np.linalg.cholesky(a)
-        return a
-    except np.linalg.LinAlgError:
+    chol = _cholesky(a)
+    if chol is None:
         w, q = np.linalg.eigh(a)
         w = np.clip(w, 1e-14 * max(1.0, float(w[-1])), None)
-        return (q * w) @ q.conj().T
+        a = (q * w) @ q.conj().T
+        chol = _cholesky(a)
+    return a, chol
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,

@@ -255,7 +255,9 @@ def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
     _, ta, tb = _split_witness(sol.dual_blocks[1], g.d_a, g.d_b)
     witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb, ta, tb)
     _require_valid(witness, tol, "symmetrized witness")
-    achieved = max(sol.dual_value, 0.0)
+    # the dual value pairs M with the transposed block's copy of u, which
+    # matches the returned u only to the dual residual
+    achieved = max(float(np.sum(g.m * u).real), 0.0)
     bound = max(sol.primal_value, 0.0)
     return SdpValue(achieved, achieved, bound, witness, sol)
 

@@ -4,9 +4,8 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from rankonegames import cli, games, values
+from rankonegames import cli, games, sdp, values
 from rankonegames.linalg import matrix_to_json
 
 
@@ -260,10 +259,7 @@ class TestSolverStatus:
         path = tmp_path / "gcr2.json"
         run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        monkeypatch.setattr(sdp, "_factor_schur", lambda schur: None)
         code, out, err = run(capsys, "value", "--game", str(path), "--which", "qow")
         assert code == 3
         assert out == ""
@@ -333,3 +329,15 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_bracket_value_loads_no_scipy(self, tmp_path, capsys):
+        # the solver is numpy-only: a lazy import inside it would show here
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+        code = ("import sys, rankonegames.cli; "
+                f"rc = rankonegames.cli.main(['value', '--game', {str(path)!r}, "
+                "'--which', 'bracket']); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "0 []"

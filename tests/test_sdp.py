@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from rankonegames import sdp, values
 from rankonegames.linalg import random_hermitian
@@ -175,11 +174,8 @@ class TestStatuses:
 
     @pytest.mark.parametrize("status", ["singular", "stalled", "numerical-error"])
     def test_early_exit(self, status, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-
         if status == "singular":
-            monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+            monkeypatch.setattr(sdp, "_factor_schur", lambda schur: None)
         elif status == "stalled":
             monkeypatch.setattr(sdp, "_cholesky", lambda a: None)
         else:
@@ -187,6 +183,28 @@ class TestStatuses:
         sol = sdp.solve(lambda_max_epigraph_problem(np.diag([1.0, 2.0])))
         assert sol.status == status
         assert sol.iterations == 1
+
+    def test_jitter_path_still_certifies(self, monkeypatch):
+        # the first factorization of the Schur complement (the only m x m
+        # matrix the solver factors) fails once, so the solve takes the jittered
+        # factor and refines against the unjittered complement
+        problem = values.mu_pairing_program(random_game(2, 2, 1.0, np.random.default_rng(5)))
+        plain = sdp.solve(problem)
+        m = sum(sdp.basis_map(v).size for v in problem.variables)
+        cholesky, failed = sdp._cholesky, []
+
+        def fail_once(a):
+            if a.shape == (m, m) and not failed:
+                failed.append(a)
+                return None
+            return cholesky(a)
+
+        monkeypatch.setattr(sdp, "_cholesky", fail_once)
+        sol = sdp.solve(problem)
+        assert len(failed) == 1
+        assert sol.status == "optimal"
+        assert sol.primal_value == pytest.approx(plain.primal_value, abs=1e-8)
+        assert sol.dual_value == pytest.approx(plain.dual_value, abs=1e-8)
 
     def test_inconsistent_equalities(self):
         p = lambda_max_problem(np.eye(2))
@@ -362,3 +380,17 @@ class TestSchurAssembly:
         schur = lmi.schur(w_blk)
         assert schur.shape == dense.shape
         assert np.linalg.norm(schur - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("side", [1, 31, 32, 33, 65, 198])
+    def test_inverts_by_halves(self, side, dtype):
+        # sides on both sides of the leaf, and the m of a 3x3 mu solve
+        rng = np.random.default_rng(side)
+        f = rng.standard_normal((side, side)).astype(dtype)
+        if dtype is complex:
+            f += 1j * rng.standard_normal((side, side))
+        l = np.linalg.cholesky(f @ f.conj().T / side + np.eye(side))
+        li = sdp._lower_inverse(l)
+        assert np.linalg.norm(l @ li - np.eye(side)) <= 1e-12 * side

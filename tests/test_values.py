@@ -135,6 +135,20 @@ class TestMuNorm:
         assert w.transposed_gram_a is not None
         assert values.haagerup_witness_check(w, 1e-6)
 
+    @pytest.mark.parametrize("case,seed,index", [
+        ("gcr2", 101, 0), ("rand2", 101, 0), ("rand3", 101, 0),
+        # benchmark bracket game rand2-6 at seed 110, where the dual value sat
+        # 5.6e-10 above the pairing of the returned witness
+        ("rand2", 110, 6)])
+    def test_witness_attains_lower_side(self, case, seed, index):
+        tol = 1e-7
+        g = seeded_game(case, seed=seed, index=index)
+        res = values.mu_norm(g, tol=tol)
+        w = res.witness
+        assert res.value == res.achieved == max(float(np.sum(g.m * w.u).real), 0.0)
+        assert res.achieved <= res.bound
+        assert values.haagerup_witness_check(w, 10 * tol)
+
 
 class TestWitnessCheck:
     def test_zero_witness(self):
