@@ -38,6 +38,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a positive finite float."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text!r}")
+    return tol
+
+
 # -- deterministic serialization -------------------------------------------------
 
 def _fmt_float(x: float) -> str:
@@ -343,7 +354,7 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
             max(0.0, omega2 - res.value), 1e-6))
         if n <= 3:
             # the squared-game program has block side 2 n^4: 162 at n = 3
-            # (0.7 s) and 512 at n = 4 (about 17 s at 260 MB peak), so these
+            # (0.75 s) and 512 at n = 4 (about 17 s at 250 MB peak), so these
             # rows stop at n = 3 to keep the table quick; the exact protocol
             # rows above still certify the failure at every n
             qow2 = values.qow_value(g2, tol=tol).value
@@ -393,6 +404,8 @@ def cmd_reproduce(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}")
     if args.n_max > 3 and not args.allow_large:
         raise UsageError("--n-max above 3 needs --allow-large")
+    if args.n_max < 2 and args.suite != "schur":
+        raise UsageError(f"--n-max must be at least 2 for suite {args.suite!r}")
     rows: list[ReproductionRow] = []
     if args.suite in ("gaps", "all"):
         rows.extend(_rows_gaps(args.n_max, args.tol))
@@ -417,7 +430,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-7,
+        p.add_argument("--tol", type=_tolerance, default=1e-7,
                        help="SDP duality-gap tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -454,7 +467,7 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--which", default=None, choices=("V", "qow"),
                        help="also compute V or qow on the power")
     p_rep.add_argument("--side-cap", type=int, default=games.DEFAULT_SIDE_CAP)
-    p_rep.add_argument("--tol", type=float, default=1e-7)
+    p_rep.add_argument("--tol", type=_tolerance, default=1e-7)
     p_rep.add_argument("--dump-sdp", dest="dump_sdp", default=None,
                        help="write the SDP of --which qow to this path as JSON")
     p_rep.set_defaults(func=cmd_repeat)

@@ -10,16 +10,19 @@ constraints.  Each PSD constraint is
 
 and the total map must be Hermitian-valued on Hermitian inputs.
 
-The solver is a primal-dual path-following interior-point method with
-Nesterov-Todd scaling and a Mehrotra-style adaptive centering parameter.
-It iterates on complex Hermitian blocks of their native side.  Each
-variable's real parameters reach its matrix through a sparse map with at
-most two entries per parameter, and the Schur complement is assembled
-from the factors A and B of the terms, as in the sparsity exploitation of
-Fujisawa, Kojima & Nakata (Math. Programming 79, 1997), so no
-block-sized matrix per parameter is kept.  Every ``optimal`` exit carries
-a dual certificate: the returned primal and dual values bracket the
-optimum and their gap is at most the requested tolerance.
+The solver is Mehrotra's predictor-corrector primal-dual interior-point
+method with Nesterov-Todd scaling (Mehrotra, SIAM J. Optim. 2, 1992; Todd,
+Toh & Tutuncu, SIAM J. Optim. 8, 1998): the predictor's affine direction
+fixes the centering parameter, and the corrector adds the predictor's
+second-order term in the scaled space.  It iterates on complex Hermitian
+blocks of their native side.  Each variable's real parameters reach its
+matrix through a sparse map with at most two entries per parameter, and
+the Schur complement is assembled from the factors A and B of the terms,
+as in the sparsity exploitation of Fujisawa, Kojima & Nakata (Math.
+Programming 79, 1997), so no block-sized matrix per parameter is kept.
+Every ``optimal`` exit carries a dual certificate: the returned primal and
+dual values bracket the optimum and their gap is at most the requested
+tolerance.
 """
 
 from __future__ import annotations
@@ -498,11 +501,43 @@ def _factor_schur(schur):
 
 
 def _nt_scaling(x, s_chol):
-    """W Hermitian PD with W S W = X: W = L^-dag (L^dag X L)^(1/2) L^-1 for S = L L^dag."""
+    """The Nesterov-Todd scaling (W, G^, d) of X and S = L L^dag.
+
+    With L^dag X L = Q diag(w) Q^dag, G^ = L^-dag Q and d = w^(1/4), the
+    scaling G = G^ diag(d) takes both G^dag S G and G^-1 X G^-dag to
+    V = diag(d^2), and W = G G^dag is the Hermitian PD matrix with W S W = X.
+    """
     l, li = s_chol
     w, q = np.linalg.eigh(_herm(l.conj().T @ x @ l))
-    root = (q * np.sqrt(np.clip(w, 1e-300, None))) @ q.conj().T
-    return _herm(li.conj().T @ root @ li)
+    g_hat = li.conj().T @ q
+    d = np.clip(w, 1e-300, None) ** 0.25
+    return _herm((g_hat * d ** 2) @ g_hat.conj().T), g_hat, d
+
+
+def _second_order(g_hat, d, ds):
+    """Mehrotra's second-order term G Y G^dag of the predictor's dS, and the
+    largest step along dS.
+
+    In the scaled space of ``_nt_scaling``, dS~ = G^dag dS G and the
+    predictor's dX~ = -V - dS~, so the solution Y of
+    V Y + Y V = dX~ dS~ + dS~ dX~ is Y = -dS~ - 2 (dS~^2)_ij / (lam_i + lam_j)
+    with lam = d^2.  The product G^^dag dS G^ is a unitary similarity of
+    L^-1 dS L^-dag, so its least eigenvalue gives ``_max_step(s_chol, dS)``.
+    """
+    scaled = _herm(g_hat.conj().T @ ds @ g_hat)
+    step = _step_length(np.linalg.eigvalsh(scaled)[0])
+    ds_t = d[:, None] * scaled * d
+    lam = d ** 2
+    y = -ds_t - 2.0 * (ds_t @ ds_t) / (lam[:, None] + lam)
+    gd = g_hat * d
+    return _herm(gd @ y @ gd.conj().T), step
+
+
+def _step_length(lam):
+    """Largest alpha with I + alpha*A >= 0 for least eigenvalue lam of A."""
+    if lam >= -1e-16:
+        return np.inf
+    return 1.0 / (-lam)
 
 
 def _max_step(chol, direction):
@@ -511,10 +546,7 @@ def _max_step(chol, direction):
     if chol is None:
         return 0.0
     li = chol[1]
-    lam = np.linalg.eigvalsh(_herm(li @ direction @ li.conj().T))[0]
-    if lam >= -1e-16:
-        return np.inf
-    return 1.0 / (-lam)
+    return _step_length(np.linalg.eigvalsh(_herm(li @ direction @ li.conj().T))[0])
 
 
 def _frobenius(a):
@@ -605,8 +637,7 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
         if any(c is None for c in s_chol):
             status = "stalled"  # S left the cone; no scaling exists
             break
-        w_blk = [_nt_scaling(x, c) for x, c in zip(x_blk, s_chol)]
-        s_inv = [li.conj().T @ li for _, li in s_chol]
+        w_blk, g_hat, d_blk = zip(*[_nt_scaling(x, c) for x, c in zip(x_blk, s_chol)])
         schur = lmi.schur(w_blk)
         schur_chol = _factor_schur(schur)
         if schur_chol is None:
@@ -614,28 +645,32 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
             break
         schur_li = schur_chol[1]
 
-        def newton(sigma):
-            targets = [sigma * nu * si - w @ r @ w for si, w, r in zip(s_inv, w_blk, r_p)]
+        def newton(centre):
+            # centre: each block's complementarity target, X + dX + W dS W
+            targets = [c - w @ r @ w for c, w, r in zip(centre, w_blk, r_p)]
             rhs = g + lmi.adjoint(targets)
             dz = schur_li.T @ (schur_li @ rhs)
             # one step of iterative refinement against the unjittered complement
             # keeps the dual residual down when the complement is ill-conditioned
             dz += schur_li.T @ (schur_li @ (rhs - schur @ dz))
             ds = [_herm(gd + r) for gd, r in zip(lmi.apply(dz), r_p)]
-            dx = [_herm(sigma * nu * si - x - w @ d @ w)
-                  for si, x, w, d in zip(s_inv, x_blk, w_blk, ds)]
+            dx = [_herm(c - x - w @ d @ w) for c, x, w, d in zip(centre, x_blk, w_blk, ds)]
             return dz, ds, dx
 
-        # predictor fixes the centering parameter
-        _, ds_a, dx_a = newton(0.0)
+        # the predictor fixes the centering parameter and the second-order term
+        _, ds_a, dx_a = newton([0.0] * len(x_blk))
+        corr, d_steps = zip(*[_second_order(gh, d, ds)
+                              for gh, d, ds in zip(g_hat, d_blk, ds_a)])
         a_p = min([1.0] + [_max_step(c, dx) for c, dx in zip(x_chol, dx_a)])
-        a_d = min([1.0] + [_max_step(c, ds) for c, ds in zip(s_chol, ds_a)])
+        a_d = min([1.0, *d_steps])
         nu_aff = sum(
             _pair(x + a_p * dx, s + a_d * ds)
             for x, dx, s, ds in zip(x_blk, dx_a, s_blk, ds_a)) / n_tot
         sigma = float(np.clip((max(nu_aff, 0.0) / nu) ** 3, 1e-8, 0.999))
 
-        dz, ds, dx = newton(sigma)
+        # the corrector aims at sigma nu S^-1 less the predictor's second-order term
+        dz, ds, dx = newton([sigma * nu * (li.conj().T @ li) - c
+                             for (_, li), c in zip(s_chol, corr)])
         a_p = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(c, d) for c, d in zip(x_chol, dx)])
         a_d = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(c, d) for c, d in zip(s_chol, ds)])
         a_p, a_d = min(a_p, 1.0), min(a_d, 1.0)
@@ -688,16 +723,19 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     - ``numerical-error``: the duality measure or an objective stopped
       being finite.
 
-    Problem data that are not finite raise ``SdpError`` before any
-    iteration.  On status ``optimal`` the primal and dual values are
-    within ``tol`` of each other (relative to max(1, values)), every PSD
-    block has minimum eigenvalue >= -10*feas_tol at the returned point,
-    and equality residuals vanish by construction of the eliminated
-    parameterization.
+    Problem data that are not finite, and a ``tol`` or ``feas_tol`` that
+    is not positive and finite, raise ``SdpError`` before any iteration.
+    On status ``optimal`` the primal and dual values are within ``tol`` of
+    each other (relative to max(1, values)), every PSD block has minimum
+    eigenvalue >= -10*feas_tol at the returned point, and equality
+    residuals vanish by construction of the eliminated parameterization.
     ``dual_blocks`` holds the Hermitian PSD dual matrix X_c of each PSD
     constraint; with no equalities the dual value is sum_c Re tr(F0_c X_c)
     for a maximization and its negation for a minimization.
     """
+    for name, t in (("tol", tol), ("feas_tol", feas_tol)):
+        if not (np.isfinite(t) and t > 0):
+            raise SdpError(f"{name} must be positive and finite, not {t!r}")
     lmi = _compile(problem, feas_tol)
     if lmi is None:
         return SdpSolution("infeasible", 0.0, 0.0, 0.0, {}, 0, tol, feas_tol,

@@ -232,6 +232,13 @@ class TestReproduce:
         assert code == 1
         assert "allow-large" in err
 
+    @pytest.mark.parametrize("suite", ["gaps", "parallel", "all"])
+    @pytest.mark.parametrize("n_max", ["1", "0"])
+    def test_empty_table_is_usage_error(self, suite, n_max, capsys):
+        code, out, err = run(capsys, "reproduce", "--suite", suite, "--n-max", n_max)
+        assert code == 1
+        assert "--n-max" in err and out == ""
+
 
 class TestWitnessValidation:
     @pytest.mark.parametrize("argv", [
@@ -287,6 +294,24 @@ class TestRemovedFlags:
         code, _, err = run(capsys, command, *argv, *flag)
         assert code == 1
         assert "unrecognized arguments" in err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["value", "repeat", "reproduce"])
+    def test_invalid_tol_is_usage_error(self, command, tol, tmp_path, capsys):
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+        power = tmp_path / "sq.json"
+        argv = {
+            "value": ["--game", str(path), "--which", "qow"],
+            "repeat": ["--game", str(path), "--k", "2", "--out", str(power), "--which", "qow"],
+            "reproduce": ["--suite", "gaps", "--n-max", "2"],
+        }[command]
+        code, out, err = run(capsys, command, *argv, "--tol", tol)
+        assert code == 1
+        assert "--tol" in err and out == ""
+        assert not power.exists()
 
 
 class TestSeesawRestarts:

@@ -258,6 +258,18 @@ class TestValidation:
         with pytest.raises(sdp.SdpError, match="not finite"):
             sdp.solve(p)
 
+    @pytest.mark.parametrize("name", ["tol", "feas_tol"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, name, bad):
+        with pytest.raises(sdp.SdpError, match=name):
+            sdp.solve(lambda_max_problem(np.diag([1.0, 2.0])), **{name: bad})
+
+    def test_zero_iterations_allowed(self):
+        # the compile-only probe: no iteration, no certificate
+        sol = sdp.solve(lambda_max_problem(np.diag([1.0, 2.0])), max_iters=0)
+        assert sol.status == "max-iters"
+        assert sol.iterations == 0
+
     def test_json_dump_shape(self):
         p = lambda_max_problem(np.diag([1.0, 2.0]))
         obj = p.to_json()
@@ -394,3 +406,38 @@ class TestLowerInverse:
         l = np.linalg.cholesky(f @ f.conj().T / side + np.eye(side))
         li = sdp._lower_inverse(l)
         assert np.linalg.norm(l @ li - np.eye(side)) <= 1e-12 * side
+
+
+def random_pd(side, rng):
+    f = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    return f @ f.conj().T / side + 0.1 * np.eye(side)
+
+
+class TestSecondOrder:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        side = 5
+        x, s = random_pd(side, rng), random_pd(side, rng)
+        ds = random_hermitian(side, rng)
+        s_chol = sdp._cholesky(s)
+        w, g_hat, d = sdp._nt_scaling(x, s_chol)
+        corr, step = sdp._second_order(g_hat, d, ds)
+        assert np.linalg.norm(w @ s @ w - x) <= 1e-10 * np.linalg.norm(x)
+
+        # the predictor's dX, and both directions in the scaled space of G
+        dx = -x - w @ ds @ w
+        g = g_hat * d
+        gi = np.linalg.inv(g)
+        v = g.conj().T @ s @ g
+        assert np.allclose(v, gi @ x @ gi.conj().T)
+        dx_t = gi @ dx @ gi.conj().T
+        ds_t = g.conj().T @ ds @ g
+        # V Y + Y V = dX~ dS~ + dS~ dX~ through the Kronecker form of the row-major vec
+        eye = np.eye(side)
+        lhs = np.kron(v, eye) + np.kron(eye, v.T)
+        y = np.linalg.solve(lhs, (dx_t @ ds_t + ds_t @ dx_t).reshape(-1)).reshape(side, side)
+        assert np.linalg.norm(g @ y @ g.conj().T - corr) <= 1e-10
+
+        assert step == pytest.approx(sdp._max_step(s_chol, ds), rel=1e-10)
+        assert sdp._second_order(g_hat, d, random_pd(side, rng))[1] == np.inf

@@ -311,20 +311,21 @@ def intervals_overlap(a, b, tol):
 
 
 class TestParity:
-    # values and iteration counts at tol 1e-7: qow and witness-side mu as the
-    # real-embedding solver gave them, mu of its split dual, and see-saw values
-    # of the sequential restart loop the batched one reproduces (20 restarts,
-    # seed 101)
+    # values and iteration counts at tol 1e-7, where the predictor-corrector
+    # stops inside its tolerance (the closed forms are checked separately
+    # below): qow, mu of its split dual and witness-side mu, and see-saw
+    # values of the sequential restart loop the batched one reproduces
+    # (20 restarts, seed 101)
     PINNED = {
-        ("gcr2", "qow"): (0.5624999814522527, 8),
+        ("gcr2", "qow"): (0.5624999948115326, 8),
         ("gcr2", "mu"): (0.4999999994243527, 9),
         ("gcr2", "mu-witness"): (0.49999998849410626, 9),
-        ("rand2", "qow"): (0.5399833591347417, 18),
-        ("rand2", "mu"): (0.7299230284599413, 17),
-        ("rand2", "mu-witness"): (0.7299229957421223, 24),
-        ("rand3", "qow"): (0.35475721752575784, 22),
-        ("rand3", "mu"): (0.5873093246173734, 29),
-        ("rand3", "mu-witness"): (0.5873093042702405, 23),
+        ("rand2", "qow"): (0.5399833496474562, 10),
+        ("rand2", "mu"): (0.7299230634821479, 10),
+        ("rand2", "mu-witness"): (0.7299229841399363, 11),
+        ("rand3", "qow"): (0.3547571429356484, 14),
+        ("rand3", "mu"): (0.5873093002355463, 14),
+        ("rand3", "mu-witness"): (0.5873092953979944, 15),
         ("gcr2", "seesaw"): (0.2500000000000001, None),
         ("rand2", "seesaw"): (0.532787692169462, None),
         ("rand3", "seesaw"): (0.344931561248761, None),
@@ -347,6 +348,21 @@ class TestParity:
             got, its = res.value, res.solution.iterations
         assert got == pytest.approx(value, abs=1e-8)
         assert abs(its - iterations) <= 1
+
+    @pytest.mark.parametrize("game,which,exact", [
+        (games.game_gc(2)[0], "qow", 1.0),
+        (games.game_gc(3)[0], "qow", 1.0),
+        (games.game_gr(2)[0], "qow", 1.0 / 4.0),
+        (games.game_gr(3)[0], "qow", 1.0 / 9.0),
+        (games.game_gcr(2)[0], "qow", 9.0 / 16.0),
+        (games.game_gcr(3)[0], "qow", 4.0 / 9.0),
+        (games.game_gcr(2)[0], "mu", 1.0 / 2.0),
+    ], ids=["gc2-qow", "gc3-qow", "gr2-qow", "gr3-qow", "gcr2-qow", "gcr3-qow", "gcr2-mu"])
+    def test_exact_value_in_certified_interval(self, game, which, exact):
+        # unlike the pins above, this does not depend on where the path stops
+        fn = values.qow_value if which == "qow" else values.mu_norm
+        res = fn(game, tol=1e-7)
+        assert min(res.achieved, res.bound) - 1e-12 <= exact <= max(res.achieved, res.bound) + 1e-12
 
     @pytest.mark.parametrize("case", ["gcr2", "rand2", "rand3"])
     def test_mu_programs_overlap(self, case):
@@ -411,6 +427,14 @@ class TestMetamorphic:
         h = seeded_game(second, index=1)
         assert values.qow_value(games.game_tensor(g, h)).value == pytest.approx(
             values.qow_value(g).value * values.qow_value(h).value, abs=1e-6)
+
+    @pytest.mark.parametrize("first,second", [((101, 0), (102, 1)), ((102, 1), (103, 2))])
+    def test_mu_multiplicative_on_distinct_pairs(self, first, second):
+        # m = 576 programs on the 4x4 registers of the product
+        g = seeded_game("rand2", *first)
+        h = seeded_game("rand2", *second)
+        assert values.mu_norm(games.game_tensor(g, h)).value == pytest.approx(
+            values.mu_norm(g).value * values.mu_norm(h).value, abs=1e-6)
 
     @pytest.mark.parametrize("case", ["rand2", "rand3"])
     def test_swap_keeps_mu(self, case):
