@@ -10,6 +10,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -354,7 +355,7 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
             max(0.0, omega2 - res.value), 1e-6))
         if n <= 3:
             # the squared-game program has block side 2 n^4: 162 at n = 3
-            # (0.75 s) and 512 at n = 4 (about 17 s at 250 MB peak), so these
+            # (about 0.6 s) and 512 at n = 4 (about 12 s at 180 MB peak), so these
             # rows stop at n = 3 to keep the table quick; the exact protocol
             # rows above still certify the failure at every n
             qow2 = values.qow_value(g2, tol=tol).value
@@ -482,10 +483,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of this process: parsing keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

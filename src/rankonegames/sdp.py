@@ -16,10 +16,17 @@ Toh & Tutuncu, SIAM J. Optim. 8, 1998): the predictor's affine direction
 fixes the centering parameter, and the corrector adds the predictor's
 second-order term in the scaled space.  It iterates on complex Hermitian
 blocks of their native side.  Each variable's real parameters reach its
-matrix through a sparse map with at most two entries per parameter, and
-the Schur complement is assembled from the factors A and B of the terms,
-as in the sparsity exploitation of Fujisawa, Kojima & Nakata (Math.
-Programming 79, 1997), so no block-sized matrix per parameter is kept.
+matrix through a sparse map with at most two entries per parameter.  Each
+block is compiled once into a flat operator: the factors A and B of all
+its terms, padded to the block's largest variable side and stacked, and
+one index plan that scatters the parameters into per-term copies of their
+variables.  The map is then one scatter, one batched matmul and one matmul
+per block, and its adjoint reads the same plan backwards.  The Schur
+complement is assembled from the same factors, as in the sparsity
+exploitation of Fujisawa, Kojima & Nakata (Math. Programming 79, 1997):
+one matmul per block for all the products B^dagger W A, one per pair of
+variables for their Kronecker sum, and one gather per pair for the basis
+change, so no block-sized matrix per parameter is kept.
 Every ``optimal`` exit carries a dual certificate: the returned primal and
 dual values bracket the optimum and their gap is at most the requested
 tolerance.
@@ -28,6 +35,7 @@ tolerance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,18 +227,56 @@ def _herm(a: np.ndarray) -> np.ndarray:
 @dataclass
 class _BlockVar:
     """The terms of one variable in one block: the block receives
-    sum_t A_t X B_t^dagger, with A_t and B_t of shape side x (variable side)."""
+    sum_t A_t X B_t^dagger over ``count`` consecutive terms of the block's
+    stacks, whose live factor columns are ``cols``."""
     var: int
-    left: np.ndarray         # A_t stacked, (n_terms, side, var_side)
-    right_h: np.ndarray      # B_t^dagger stacked, (n_terms, var_side, side)
-    left_cat: np.ndarray     # [A_1 ... A_n], side x (n_terms var_side)
-    right_cat_h: np.ndarray  # [B_1 ... B_n]^dagger, (n_terms var_side) x side
+    side: int
+    count: int
+    cols: slice
 
 
 @dataclass
 class _Block:
+    """One PSD block as a flat operator.
+
+    Term t of the block, of variable v, has A_t and B_t^dagger padded with
+    zeros to the block's largest variable side D.  ``scatter``, ``param``
+    and ``coef`` map parameters into the real view of the stack of
+    per-term variable copies X_t (T, D, D): entry ``scatter[k]`` receives
+    ``coef[k] * y[param[k]]``.  The same plan read backwards gives the
+    adjoint's traces, since Re tr(H_j Y) is the real inner product of H_j
+    and Y for Hermitian H_j.
+    """
     constant: np.ndarray     # F0, Hermitian
     parts: list[_BlockVar]   # one per variable, in variable order
+    left_cat: np.ndarray     # [A_1 ... A_T] padded, side x (T D)
+    right_h: np.ndarray      # B_t^dagger padded, (T, D, side)
+    live: np.ndarray         # the columns of left_cat that are not padding
+    scatter: np.ndarray
+    param: np.ndarray
+    coef: np.ndarray
+
+
+@dataclass(frozen=True)
+class _PairPlan:
+    """The Schur block S_vu = Re(T_v^T K T_u) of a pair of variables.
+
+    K keeps the rows (a, d) and columns (b, c) with a in ``a_range`` and b
+    in ``b_range``, the entries that v's basis reaches.  One gather reads
+    each entry that both bases reach once, at flat ``rows + cols``;  H_j of
+    u then sums its two columns ``u_pick[q, j]`` with ``coefs[q, j]``, and
+    H_i of v its rows ``v_pick[p, i]`` with ``weights[p, i]``.  The block
+    lands at ``at`` of S.
+    """
+    a_range: slice
+    b_range: slice
+    rows: np.ndarray         # (n_rows, 1) int
+    cols: np.ndarray         # (n_cols,) int
+    v_pick: np.ndarray       # (p_v, m_v) int
+    weights: np.ndarray      # (p_v, m_v) complex
+    u_pick: np.ndarray       # (2, m_u) int
+    coefs: np.ndarray        # (2, m_u) complex
+    at: tuple
 
 
 @dataclass
@@ -241,16 +287,24 @@ class _CompiledLmi:
     no equality constraints; y0 is folded into the constants F0_c.
     Parameter j of variable v sits at ``offsets[v] + j`` of y, and
     G_cj = sum_t A_t H_j B_t^dagger over the terms of v in block c, with H_j
-    the basis of ``maps[v]``.
+    the basis of ``maps[v]``.  Each block carries its padded term stacks and
+    parameter plan (``_Block``), and ``pairs`` the Schur basis change of
+    every pair of variables that share a block.
     """
     g: np.ndarray
     blocks: list[_Block]
     maps: list[BasisMap]
     offsets: list[int]
+    pairs: dict
     sense: float
     y0: np.ndarray | None = None
     nullspace: np.ndarray | None = None
     shift: float = 0.0       # objective constant from eliminated equalities
+
+    @functools.cached_property
+    def m_full(self) -> int:
+        """The length of the full parameter vector y."""
+        return sum(t.size for t in self.maps)
 
     def full(self, z: np.ndarray) -> np.ndarray:
         """N z, the full-space image of a reduced direction."""
@@ -265,22 +319,25 @@ class _CompiledLmi:
         return self.maps[v].matrix(y[self.offsets[v]: self.offsets[v] + self.maps[v].size])
 
     def apply(self, z: np.ndarray) -> list[np.ndarray]:
-        """sum_j z_j G_cj for every block c."""
+        """sum_j z_j G_cj for every block c: L [X_t B_t^dagger]_t."""
         y = self.full(z)
-        xs = [self.variable(y, v) for v in range(len(self.maps))]
         out = []
         for blk in self.blocks:
-            acc = sum((p.left @ xs[p.var] @ p.right_h).sum(axis=0) for p in blk.parts)
-            out.append(_herm(acc))
+            n_terms, d, side = blk.right_h.shape
+            xs = np.bincount(blk.scatter, blk.coef * y[blk.param], minlength=2 * n_terms * d * d)
+            xs = xs.view(complex).reshape(n_terms, d, d)
+            out.append(_herm(blk.left_cat @ (xs @ blk.right_h).reshape(n_terms * d, side)))
         return out
 
     def adjoint(self, mats: list[np.ndarray]) -> np.ndarray:
-        """(sum_c Re tr(G_cj M_c))_j for Hermitian M_c."""
-        ys = [np.zeros((t.side, t.side), dtype=complex) for t in self.maps]
+        """(sum_c Re tr(G_cj M_c))_j for Hermitian M_c: the traces of
+        B_t^dagger M A_t against the basis, summed by parameter."""
+        y = np.zeros(self.m_full)
         for blk, mat in zip(self.blocks, mats):
-            for p in blk.parts:
-                ys[p.var] += (p.right_h @ mat @ p.left).sum(axis=0)
-        y = np.concatenate([t.traces(yv) for t, yv in zip(self.maps, ys)])
+            n_terms, d, side = blk.right_h.shape
+            ys = blk.right_h @ (mat @ blk.left_cat).reshape(side, n_terms, d).transpose(1, 0, 2)
+            y += np.bincount(blk.param, ys.reshape(-1).view(float)[blk.scatter] * blk.coef,
+                             minlength=y.size)
         return y if self.nullspace is None else self.nullspace.T @ y
 
     def schur(self, w_blk: list[np.ndarray]) -> np.ndarray:
@@ -289,49 +346,85 @@ class _CompiledLmi:
         Writing H_i = sum_ab T[(a,b), i] E_ab splits the trace into
         K[(a,b),(c,d)] = sum_{t,t'} (B_t'^dag W A_t)[d,a] (B_t^dag W A_t')[b,c]
         for each pair of variables (v, v'), summed over the blocks, and
-        S_vv' = Re(T_v^T K T_v').
+        S_vv' = Re(T_v^T K T_v').  All the products B_t^dag W A_t' of a block
+        are one matmul of its live factors.
         """
         kmats = {}
         for blk, w in zip(self.blocks, w_blk):
-            wa = [w @ p.left_cat for p in blk.parts]
+            side = w.shape[0]
+            live_h = blk.right_h.reshape(-1, side)[blk.live]
+            f = live_h @ (w @ blk.left_cat[:, blk.live])      # [(t, b), (t', c)]
             for i, p in enumerate(blk.parts):
-                for j in range(i, len(blk.parts)):
-                    key = (p.var, blk.parts[j].var)
-                    k = _kron_schur(p, blk.parts[j], wa[i], wa[j])
+                for q in blk.parts[i:]:
+                    key = (p.var, q.var)
+                    k = _kron_schur(f, p, q, self.pairs[key])
                     if key in kmats:
                         kmats[key] += k
                     else:
                         kmats[key] = k
-        m_full = sum(t.size for t in self.maps)
-        s = np.zeros((m_full, m_full))
-        for (v, u), k in kmats.items():
-            tv, tu = self.maps[v], self.maps[u]
-            k4 = k.reshape(tv.side, tu.side, tv.side, tu.side)          # [a, d, b, c]
-            # T_v^T K, indexed [i, d, c], then its columns (c, d) through T_u
-            left = sum(c[:, None, None] * k4[a, :, b, :]
-                       for a, b, c in zip(tv.rows, tv.cols, tv.coefs))
-            block = sum(c * left[:, d, cc] for cc, d, c in zip(tu.rows, tu.cols, tu.coefs))
-            rows = slice(self.offsets[v], self.offsets[v] + tv.size)
-            cols = slice(self.offsets[u], self.offsets[u] + tu.size)
-            s[rows, cols] = block.real
-            if u != v:
-                s[cols, rows] = block.real.T
-        if self.nullspace is not None:
-            s = self.nullspace.T @ s @ self.nullspace
+        s = np.zeros((self.m_full, self.m_full))
+        for key, k in kmats.items():
+            plan = self.pairs[key]
+            entries = k.reshape(-1)[plan.rows + plan.cols]
+            half = entries[:, plan.u_pick[0]] * plan.coefs[0]
+            half += entries[:, plan.u_pick[1]] * plan.coefs[1]
+            block = np.einsum("pi,pij->ij", plan.weights, half[plan.v_pick]).real
+            rows, cols = plan.at
+            if key[0] == key[1]:
+                s[rows, cols] = (block + block.T) / 2.0
+            else:
+                s[rows, cols] = block
+                s[cols, rows] = block.T
+        if self.nullspace is None:
+            return s
+        s = self.nullspace.T @ s @ self.nullspace
         return (s + s.T) / 2.0
 
 
-def _kron_schur(p: _BlockVar, q: _BlockVar, wa_p: np.ndarray, wa_q: np.ndarray) -> np.ndarray:
+def _kron_schur(f: np.ndarray, p: _BlockVar, q: _BlockVar, plan: _PairPlan) -> np.ndarray:
     """sum_{t of p, t' of q} (B_t'^dag W A_t)[d,a] (B_t^dag W A_t')[b,c], indexed
-    [(a,d),(b,c)], from W [A_1 ... A_n] of both variables: one matmul over the
-    term pairs."""
-    n, _, dp = p.left.shape
-    nq, _, dq = q.left.shape
-    fwd = (p.right_cat_h @ wa_q).reshape(n, dp, nq, dq)    # [t, b, t', c]
-    bwd = (q.right_cat_h @ wa_p).reshape(nq, dq, n, dp)    # [t', d, t, a]
-    lhs = bwd.transpose(3, 1, 2, 0).reshape(dp * dq, n * nq)
-    rhs = fwd.transpose(0, 2, 1, 3).reshape(n * nq, dp * dq)
+    [(a,d),(b,c)] over a and b in the plan's ranges, from the products f of
+    the block: one matmul over the term pairs."""
+    n, dp, nq, dq = p.count, p.side, q.count, q.side
+    fwd = f[p.cols, q.cols].reshape(n, dp, nq, dq)[:, plan.b_range]   # [t, b, t', c]
+    bwd = f[q.cols, p.cols].reshape(nq, dq, n, dp)[..., plan.a_range]   # [t', d, t, a]
+    lhs = bwd.transpose(3, 1, 2, 0).reshape(-1, n * nq)
+    rhs = fwd.transpose(0, 2, 1, 3).reshape(n * nq, -1)
     return lhs @ rhs
+
+
+def _schur_entries(t: BasisMap, first_only: bool):
+    """Where the basis of t reads K in a Schur gather: the distinct places
+    (a, b) of its entries, in row-major order, and for each element the
+    index ``pick[p, j]`` of its entries' places and their ``weights[p, j]``.
+
+    With ``first_only``, as on Hermitian and off-diagonal domains, where
+    the map takes X^dagger to G(X)^dagger, H_j = c E_ab + conj(c) E_ba
+    contributes 2 Re(c tr(G(E_ab) W G_k W)) for Hermitian G_k and W, so an
+    element keeps its first entry, with twice its weight off the diagonal.
+    """
+    if first_only:
+        rows, cols = t.rows[:1], t.cols[:1]
+        weights = t.coefs[:1] * np.where(rows == cols, 1.0, 2.0)
+    else:
+        rows, cols, weights = t.rows, t.cols, t.coefs
+    code = rows * t.side + cols
+    taken = np.zeros(t.side * t.side, dtype=bool)
+    taken[code] = True
+    places = np.flatnonzero(taken)
+    return places // t.side, places % t.side, (np.cumsum(taken) - 1)[code], weights
+
+
+def _pair_plan(v_entries, u_entries, du: int, at: tuple) -> _PairPlan:
+    """The Schur gather of variables v and u from ``_schur_entries`` of both."""
+    a, b, v_pick, weights = v_entries
+    c, d, u_pick, coefs = u_entries
+    a0, b0 = a.min(), b.min()
+    n_b = b.max() + 1 - b0
+    # K[(a, d), (b, c)] flattened: ((a du + d) n_b + b) du + c, with a and b from a0 and b0
+    return _PairPlan(slice(a0, a.max() + 1), slice(b0, b0 + n_b),
+                     (((a - a0) * du * n_b + b - b0) * du)[:, None], d * (n_b * du) + c,
+                     v_pick, weights, u_pick, coefs, at)
 
 
 def _coefficient_row(problem, index, maps, offsets, coeffs, what):
@@ -349,7 +442,7 @@ def _coefficient_row(problem, index, maps, offsets, coeffs, what):
     return row
 
 
-def _compile_block(problem, index, maps, c_idx, con) -> _Block:
+def _compile_block(problem, index, maps, offsets, c_idx, con) -> _Block:
     f0 = np.asarray(con.constant, dtype=complex)
     side = f0.shape[0]
     if f0.shape != (side, side):
@@ -370,34 +463,67 @@ def _compile_block(problem, index, maps, c_idx, con) -> _Block:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise SdpError(f"term for {t.var!r} in block {c_idx} is not finite")
         grouped.setdefault(index[t.var], []).append((a, b))
+    for v, factors in grouped.items():
+        _check_hermitian_valued(problem, maps[v], v, c_idx, side, factors)
+
+    n_terms = sum(len(factors) for factors in grouped.values())
+    d = max((maps[v].side for v in grouped), default=1)
+    left = np.zeros((side, n_terms, d), dtype=complex)
+    right_h = np.zeros((n_terms, d, side), dtype=complex)
     parts = []
+    live, scatter, param, coef = ([np.zeros(0, dtype=dt)] for dt in (int, int, int, float))
+    t0 = width = 0
     for v in sorted(grouped):
-        left = np.stack([a for a, _ in grouped[v]])
-        right_h = np.stack([b.conj().T for _, b in grouped[v]])
-        # Hermitian-valued map check on every G_j = sum_t A_t H_j B_t^dag at once:
-        # G(H)[p, q] = sum_ab M[(p,a),(q,b)] H[a, b] with M = U V^dag, the columns of
-        # U and V being vec(A_t) and vec(B_t), and H -> G(H)^dag has M^dag in its
-        # place.  M - M^dag = [U V] J [U V]^dag, so with [U V] = QR the norm
-        # ||M - M^dag||_F = ||R J R^dag||_F <= 1e-9 bounds every ||G_j - G_j^dag||
-        # by 1e-9 ||H_j||; otherwise each G_j is tested.
-        n = len(left)
-        vec_a = left.reshape(n, -1).T
-        vec_b = right_h.conj().transpose(0, 2, 1).reshape(n, -1).T
-        r = np.linalg.qr(np.hstack([vec_a, vec_b]), mode="r")
-        if np.linalg.norm(r[:, :n] @ r[:, n:].conj().T - r[:, n:] @ r[:, :n].conj().T) > 1e-9:
-            t = maps[v]
-            m4 = (vec_a @ vec_b.conj().T).reshape(side, t.side, side, t.side)
-            gs = sum(c[:, None, None] * m4[:, a, :, b]
-                     for a, b, c in zip(t.rows, t.cols, t.coefs))  # [j, p, q]
-            dev = np.linalg.norm(gs - gs.conj().transpose(0, 2, 1), axis=(1, 2))
-            bad = np.flatnonzero(dev > 1e-9 * (1.0 + np.linalg.norm(gs, axis=(1, 2))))
-            if bad.size:
-                raise SdpError(
-                    f"PSD block {c_idx} is not Hermitian-valued (variable "
-                    f"{problem.variables[v].name!r}, parameter {bad[0]})")
-        parts.append(_BlockVar(v, left, right_h, np.concatenate(left, axis=1),
-                               np.concatenate(right_h, axis=0)))
-    return _Block(_herm(f0), parts)
+        t, factors = maps[v], grouped[v]
+        for k, (a, b) in enumerate(factors):
+            left[:, t0 + k, : t.side] = a
+            right_h[t0 + k, : t.side] = b.conj().T
+        terms = np.arange(t0, t0 + len(factors))
+        live.append((terms[:, None] * d + np.arange(t.side)).reshape(-1))
+        # entry (t, rows, cols) of the stack of variable copies, as real and imaginary slots
+        entry = (terms[:, None, None] * d + t.rows) * d + t.cols
+        slots = 2 * entry[..., None] + np.arange(2)                       # [t, p, j, re/im]
+        weights = np.broadcast_to(np.stack([t.coefs.real, t.coefs.imag], -1), slots.shape)
+        index_j = np.broadcast_to(offsets[v] + np.arange(t.size)[:, None], slots.shape)
+        keep = weights != 0.0
+        scatter.append(slots[keep])
+        coef.append(weights[keep])
+        param.append(index_j[keep])
+        parts.append(_BlockVar(v, t.side, len(factors), slice(width, width + len(factors) * t.side)))
+        t0 += len(factors)
+        width += len(factors) * t.side
+    cat = np.concatenate
+    return _Block(_herm(f0), parts, left.reshape(side, n_terms * d), right_h,
+                  cat(live), cat(scatter), cat(param), cat(coef))
+
+
+def _check_hermitian_valued(problem, t, v, c_idx, side, factors):
+    """Raise unless every G_j = sum_t A_t H_j B_t^dag of the variable is Hermitian.
+
+    G(H)[p, q] = sum_ab M[(p,a),(q,b)] H[a, b] with M = U V^dag, the columns
+    of U and V being vec(A_t) and vec(B_t), and H -> G(H)^dag has M^dag in
+    its place.  M - M^dag = [U V] J [U V]^dag, so with [U V] = QR the norm
+    ||M - M^dag||_F = ||R J R^dag||_F <= 1e-9 bounds every ||G_j - G_j^dag||
+    by 1e-9 ||H_j||; otherwise each G_j is tested.
+    """
+    # +-A X A^dagger is Hermitian for Hermitian X
+    if all(np.array_equal(a, b) or np.array_equal(a, -b) for a, b in factors):
+        return
+    n = len(factors)
+    vec_a = np.stack([a for a, _ in factors]).reshape(n, -1).T
+    vec_b = np.stack([b for _, b in factors]).reshape(n, -1).T
+    r = np.linalg.qr(np.hstack([vec_a, vec_b]), mode="r")
+    if np.linalg.norm(r[:, :n] @ r[:, n:].conj().T - r[:, n:] @ r[:, :n].conj().T) <= 1e-9:
+        return
+    m4 = (vec_a @ vec_b.conj().T).reshape(side, t.side, side, t.side)
+    gs = sum(c[:, None, None] * m4[:, a, :, b]
+             for a, b, c in zip(t.rows, t.cols, t.coefs))  # [j, p, q]
+    dev = np.linalg.norm(gs - gs.conj().transpose(0, 2, 1), axis=(1, 2))
+    bad = np.flatnonzero(dev > 1e-9 * (1.0 + np.linalg.norm(gs, axis=(1, 2))))
+    if bad.size:
+        raise SdpError(
+            f"PSD block {c_idx} is not Hermitian-valued (variable "
+            f"{problem.variables[v].name!r}, parameter {bad[0]})")
 
 
 def _compile(problem: SdpProblem, feas_tol: float) -> _CompiledLmi | None:
@@ -428,12 +554,24 @@ def _compile(problem: SdpProblem, feas_tol: float) -> _CompiledLmi | None:
     if not np.all(np.isfinite(r_eq)):
         raise SdpError("equality right-hand side is not finite")
 
-    blocks = [_compile_block(problem, index, maps, c_idx, con)
+    blocks = [_compile_block(problem, index, maps, offsets, c_idx, con)
               for c_idx, con in enumerate(problem.psd_constraints)]
     if not blocks:
         raise SdpError("problem has no PSD constraints")
+    firsts = [_schur_entries(t, v.domain != REAL_SYMMETRIC)
+              for t, v in zip(maps, problem.variables)]
+    alls = [_schur_entries(t, False) for t in maps]
+    pairs = {}
+    for blk in blocks:
+        for i, p in enumerate(blk.parts):
+            for q in blk.parts[i:]:
+                v, u = p.var, q.var
+                if (v, u) not in pairs:
+                    at = (slice(offsets[v], offsets[v] + sizes[v]),
+                          slice(offsets[u], offsets[u] + sizes[u]))
+                    pairs[v, u] = _pair_plan(firsts[v], alls[u], maps[u].side, at)
 
-    lmi = _CompiledLmi(g_full, blocks, maps, offsets, sense)
+    lmi = _CompiledLmi(g_full, blocks, maps, offsets, pairs, sense)
     if a_eq.shape[0] == 0:
         return lmi
     y0, *_ = np.linalg.lstsq(a_eq, r_eq, rcond=None)
@@ -442,7 +580,7 @@ def _compile(problem: SdpProblem, feas_tol: float) -> _CompiledLmi | None:
     _, s, vt = np.linalg.svd(a_eq, full_matrices=True)
     rank = int(np.sum(s > max(a_eq.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
     nullspace = vt[rank:].T
-    shifted = [_Block(_herm(blk.constant + f), blk.parts)
+    shifted = [dataclasses.replace(blk, constant=_herm(blk.constant + f))
                for blk, f in zip(blocks, lmi.apply(y0))]
     return dataclasses.replace(lmi, g=nullspace.T @ g_full, blocks=shifted, y0=y0,
                                nullspace=nullspace, shift=float(g_full @ y0))
@@ -516,21 +654,24 @@ def _nt_scaling(x, s_chol):
 
 def _second_order(g_hat, d, ds):
     """Mehrotra's second-order term G Y G^dag of the predictor's dS, and the
-    largest step along dS.
+    largest steps along the predictor's dX and dS.
 
     In the scaled space of ``_nt_scaling``, dS~ = G^dag dS G and the
     predictor's dX~ = -V - dS~, so the solution Y of
     V Y + Y V = dX~ dS~ + dS~ dX~ is Y = -dS~ - 2 (dS~^2)_ij / (lam_i + lam_j)
     with lam = d^2.  The product G^^dag dS G^ is a unitary similarity of
-    L^-1 dS L^-dag, so its least eigenvalue gives ``_max_step(s_chol, dS)``.
+    L^-1 dS L^-dag, so its least eigenvalue gives ``_max_step(s_chol, dS)``;
+    and V^-1/2 dX~ V^-1/2 = -I - G^^dag dS G^, so its largest gives the
+    step along dX = -X - W dS W.
     """
     scaled = _herm(g_hat.conj().T @ ds @ g_hat)
-    step = _step_length(np.linalg.eigvalsh(scaled)[0])
+    lam_ds = np.linalg.eigvalsh(scaled)
     ds_t = d[:, None] * scaled * d
     lam = d ** 2
     y = -ds_t - 2.0 * (ds_t @ ds_t) / (lam[:, None] + lam)
     gd = g_hat * d
-    return _herm(gd @ y @ gd.conj().T), step
+    return (_herm(gd @ y @ gd.conj().T), _step_length(-1.0 - lam_ds[-1]),
+            _step_length(lam_ds[0]))
 
 
 def _step_length(lam):
@@ -645,23 +786,25 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
             break
         schur_li = schur_chol[1]
 
+        w_rp = [w @ r @ w for w, r in zip(w_blk, r_p)]
+
         def newton(centre):
             # centre: each block's complementarity target, X + dX + W dS W
-            targets = [c - w @ r @ w for c, w, r in zip(centre, w_blk, r_p)]
-            rhs = g + lmi.adjoint(targets)
+            rhs = g + lmi.adjoint([c - t for c, t in zip(centre, w_rp)])
             dz = schur_li.T @ (schur_li @ rhs)
             # one step of iterative refinement against the unjittered complement
             # keeps the dual residual down when the complement is ill-conditioned
             dz += schur_li.T @ (schur_li @ (rhs - schur @ dz))
-            ds = [_herm(gd + r) for gd, r in zip(lmi.apply(dz), r_p)]
+            # a sum of exactly Hermitian matrices is exactly Hermitian
+            ds = [gd + r for gd, r in zip(lmi.apply(dz), r_p)]
             dx = [_herm(c - x - w @ d @ w) for c, x, w, d in zip(centre, x_blk, w_blk, ds)]
             return dz, ds, dx
 
         # the predictor fixes the centering parameter and the second-order term
         _, ds_a, dx_a = newton([0.0] * len(x_blk))
-        corr, d_steps = zip(*[_second_order(gh, d, ds)
-                              for gh, d, ds in zip(g_hat, d_blk, ds_a)])
-        a_p = min([1.0] + [_max_step(c, dx) for c, dx in zip(x_chol, dx_a)])
+        corr, p_steps, d_steps = zip(*[_second_order(gh, d, ds)
+                                       for gh, d, ds in zip(g_hat, d_blk, ds_a)])
+        a_p = min([1.0, *p_steps])
         a_d = min([1.0, *d_steps])
         nu_aff = sum(
             _pair(x + a_p * dx, s + a_d * ds)
@@ -700,7 +843,7 @@ def _make_pd(a):
     if chol is None:
         w, q = np.linalg.eigh(a)
         w = np.clip(w, 1e-14 * max(1.0, float(w[-1])), None)
-        a = (q * w) @ q.conj().T
+        a = _herm((q * w) @ q.conj().T)
         chol = _cholesky(a)
     return a, chol
 

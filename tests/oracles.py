@@ -16,7 +16,6 @@ None of these is used by a command or a value function:
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from rankonegames import linalg as la
 from rankonegames import sdp
@@ -138,6 +137,9 @@ def brute_force_haagerup(u: np.ndarray, d_a: int, d_b: int, restarts: int = 12,
     restarts.  Returns (value, As, Bs); the value is evaluated through the
     explicit block norms of the decomposition, independent of any SDP.
     """
+    # imported here, so that the solver's own tests run without scipy
+    import scipy.optimize
+
     ru = la.realign(la.as_matrix(u, d_a * d_b, d_a * d_b), d_a, d_b)
     uu, sv, vdag = la.svd(ru)
     r = int(np.sum(sv > rank_cut * max(1.0, sv[0] if sv.size else 0.0)))

@@ -341,6 +341,21 @@ class TestDeterminism:
         run(capsys, "make", "--family", "gcr", "--n", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reused_parser_matches_isolated_runs(self, tmp_path, capsys):
+        # one process runs all three commands through the same parser; each
+        # must print what it prints in a fresh interpreter
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+        calls = [["value", "--game", str(path), "--which", "qow"],
+                 ["value", "--game", str(path), "--which", "nope"],
+                 ["value", "--game", str(path), "--which", "bracket", "--seed", "3"]]
+        in_process = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [0, 1, 0]
+        for argv, result in zip(calls, in_process):
+            code = f"import sys, rankonegames.cli; sys.exit(rankonegames.cli.main({argv!r}))"
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert (done.returncode, done.stdout, done.stderr) == result
+
     def test_float_formatting_17g(self):
         text = cli.dump_json({"x": 1.0 / 3.0})
         assert text == '{"x":0.33333333333333331}'

@@ -187,9 +187,11 @@ class TestStatuses:
     def test_jitter_path_still_certifies(self, monkeypatch):
         # the first factorization of the Schur complement (the only m x m
         # matrix the solver factors) fails once, so the solve takes the jittered
-        # factor and refines against the unjittered complement
+        # factor and refines against the unjittered complement; both solves
+        # certify to 1e-8, so their values must agree to 1e-8 whatever path
+        # each takes
         problem = values.mu_pairing_program(random_game(2, 2, 1.0, np.random.default_rng(5)))
-        plain = sdp.solve(problem)
+        plain = sdp.solve(problem, tol=1e-8)
         m = sum(sdp.basis_map(v).size for v in problem.variables)
         cholesky, failed = sdp._cholesky, []
 
@@ -200,7 +202,7 @@ class TestStatuses:
             return cholesky(a)
 
         monkeypatch.setattr(sdp, "_cholesky", fail_once)
-        sol = sdp.solve(problem)
+        sol = sdp.solve(problem, tol=1e-8)
         assert len(failed) == 1
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(plain.primal_value, abs=1e-8)
@@ -309,6 +311,20 @@ def mixed_program(rng):
     )
 
 
+def real_only_program(rng):
+    """A real-symmetric X in a block X >= 0 and a 1x1 block 1 + X_01 + X_11:
+    the second map is Hermitian-valued on real-symmetric inputs only."""
+    e0, e1 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    return sdp.SdpProblem(
+        variables=[sdp.SdpVariable("X", 2, sdp.REAL_SYMMETRIC)],
+        objective={"X": random_hermitian(2, rng).real},
+        psd_constraints=[
+            sdp.PsdConstraint(np.eye(2), identity_terms("X", 2)),
+            sdp.PsdConstraint(np.eye(1), [sdp.PsdTerm("X", e0, e1), sdp.PsdTerm("X", e1, e1)]),
+        ],
+    )
+
+
 def schur_programs():
     g = random_game(2, 2, 1.0, np.random.default_rng(31))
     u = random_game(2, 2, 1.0, np.random.default_rng(32)).m
@@ -319,6 +335,7 @@ def schur_programs():
         "mu-witness": oracles.mu_witness_program(g),
         "norm": oracles.haagerup_norm_program(u, 2, 2),
         "mixed": mixed_program(np.random.default_rng(33)),
+        "real-only": real_only_program(np.random.default_rng(39)),
     }
 
 
@@ -366,24 +383,37 @@ class TestBasisMap:
         assert np.allclose(t.traces(h), [np.trace(m @ h).real for m in mats])
 
 
+def dense_operator(problem):
+    """G_cj = sum_t A_t H_j B_t^dag over the terms of H_j's variable: one list
+    of blocks c per full parameter j."""
+    gmats = []
+    for var in problem.variables:
+        for h in dense_basis(sdp.basis_map(var)):
+            gmats.append([sum((t.left @ h @ t.right.conj().T for t in con.terms
+                               if t.var == var.name), np.zeros(con.constant.shape))
+                          for con in problem.psd_constraints])
+    return gmats
+
+
+def random_blocks(problem, rng):
+    """A random Hermitian PD matrix for every PSD block."""
+    out = []
+    for con in problem.psd_constraints:
+        f = rng.standard_normal(con.constant.shape) + 1j * rng.standard_normal(con.constant.shape)
+        out.append(f @ f.conj().T + 0.1 * np.eye(f.shape[0]))
+    return out
+
+
+PROGRAMS = ["pairing", "pairing-transposed", "mu", "mu-witness", "norm", "mixed", "real-only"]
+
+
 class TestSchurAssembly:
-    @pytest.mark.parametrize("name", ["pairing", "pairing-transposed", "mu", "mu-witness",
-                                      "norm", "mixed"])
+    @pytest.mark.parametrize("name", PROGRAMS)
     def test_matches_dense_reference(self, name):
         problem = schur_programs()[name]
         lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
-        rng = np.random.default_rng(34)
-        w_blk = []
-        for con in problem.psd_constraints:
-            f = rng.standard_normal(con.constant.shape) + 1j * rng.standard_normal(con.constant.shape)
-            w_blk.append(f @ f.conj().T + 0.1 * np.eye(f.shape[0]))
-        # dense reference: G_cj = sum_t A_t H_j B_t^dag over the terms of H_j's variable
-        gmats = []
-        for var in problem.variables:
-            for h in dense_basis(sdp.basis_map(var)):
-                gmats.append([sum((t.left @ h @ t.right.conj().T for t in con.terms
-                                   if t.var == var.name), np.zeros(con.constant.shape))
-                              for con in problem.psd_constraints])
+        w_blk = random_blocks(problem, np.random.default_rng(34))
+        gmats = dense_operator(problem)
         dense = np.array([[sum(np.trace(gi @ w @ gj @ w).real
                                for gi, gj, w in zip(row, col, w_blk))
                            for col in gmats] for row in gmats])
@@ -392,6 +422,47 @@ class TestSchurAssembly:
         schur = lmi.schur(w_blk)
         assert schur.shape == dense.shape
         assert np.linalg.norm(schur - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+class TestBlockOperator:
+    # mixed sides in one block ("mixed": real-symmetric X of side 3 beside Y of
+    # side 2), one variable in two blocks ("mu"'s K), equality elimination
+    # ("mixed"), a map Hermitian-valued on real-symmetric inputs only ("real-only")
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_apply_matches_dense_reference(self, name):
+        problem = schur_programs()[name]
+        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        z = np.random.default_rng(36).standard_normal(lmi.g.size)
+        gmats = dense_operator(problem)
+        dense = [sum(yj * row[c] for yj, row in zip(lmi.full(z), gmats))
+                 for c in range(len(problem.psd_constraints))]
+        for got, want in zip(lmi.apply(z), dense):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_adjoint_matches_dense_reference(self, name):
+        problem = schur_programs()[name]
+        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        mats = random_blocks(problem, np.random.default_rng(37))
+        dense = np.array([sum(np.trace(g @ m).real for g, m in zip(row, mats))
+                          for row in dense_operator(problem)])
+        if problem.equalities:
+            dense = lmi.nullspace.T @ dense
+        assert np.linalg.norm(lmi.adjoint(mats) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("name", PROGRAMS)
+    def test_adjoint_identity(self, name):
+        problem = schur_programs()[name]
+        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        rng = np.random.default_rng(38)
+        z = rng.standard_normal(lmi.g.size)
+        mats = [random_hermitian(con.constant.shape[0], rng) for con in problem.psd_constraints]
+        applied = lmi.apply(z)
+        lhs = sum(np.trace(a @ m).real for a, m in zip(applied, mats))
+        adj = lmi.adjoint(mats)
+        scale = (sum(np.linalg.norm(a) * np.linalg.norm(m) for a, m in zip(applied, mats))
+                 + np.linalg.norm(z) * np.linalg.norm(adj))
+        assert abs(lhs - z @ adj) <= 1e-12 * scale
 
 
 class TestLowerInverse:
@@ -422,7 +493,7 @@ class TestSecondOrder:
         ds = random_hermitian(side, rng)
         s_chol = sdp._cholesky(s)
         w, g_hat, d = sdp._nt_scaling(x, s_chol)
-        corr, step = sdp._second_order(g_hat, d, ds)
+        corr, p_step, d_step = sdp._second_order(g_hat, d, ds)
         assert np.linalg.norm(w @ s @ w - x) <= 1e-10 * np.linalg.norm(x)
 
         # the predictor's dX, and both directions in the scaled space of G
@@ -439,5 +510,6 @@ class TestSecondOrder:
         y = np.linalg.solve(lhs, (dx_t @ ds_t + ds_t @ dx_t).reshape(-1)).reshape(side, side)
         assert np.linalg.norm(g @ y @ g.conj().T - corr) <= 1e-10
 
-        assert step == pytest.approx(sdp._max_step(s_chol, ds), rel=1e-10)
-        assert sdp._second_order(g_hat, d, random_pd(side, rng))[1] == np.inf
+        assert d_step == pytest.approx(sdp._max_step(s_chol, ds), rel=1e-10)
+        assert p_step == pytest.approx(sdp._max_step(sdp._cholesky(x), dx), rel=1e-10)
+        assert sdp._second_order(g_hat, d, random_pd(side, rng))[2] == np.inf
