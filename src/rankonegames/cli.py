@@ -206,12 +206,10 @@ def cmd_value(args) -> int:
         report["value"] = res.value
         report["bound"] = res.bound
         report["solver"] = {"iterations": res.solution.iterations, "gap": res.solution.gap}
-    elif args.which == "bracket":
+    else:  # bracket
         cfg = values.SeesawConfig(restarts=args.seesaw_restarts, seed=args.seed)
         rep = values.entangled_value_bounds(g, tol=tol, seesaw_cfg=cfg)
         report.update(rep.to_json())
-    else:
-        raise UsageError(f"unknown quantity {args.which!r}")
     if args.format == "csv":
         flat = {k: v for k, v in report.items() if not isinstance(v, dict)}
         _write_output(dump_csv([flat]), args.out)
@@ -401,8 +399,6 @@ def _rows_schur(tol: float, seed: int) -> list[ReproductionRow]:
 
 
 def cmd_reproduce(args) -> int:
-    if args.suite not in ("gaps", "parallel", "schur", "all"):
-        raise UsageError(f"unknown suite {args.suite!r}")
     if args.n_max > 3 and not args.allow_large:
         raise UsageError("--n-max above 3 needs --allow-large")
     if args.n_max < 2 and args.suite != "schur":

@@ -1,10 +1,9 @@
 """Small dense semidefinite programs over Hermitian variables.
 
-A problem is a list of named matrix variables (``hermitian``,
-``real-symmetric``, or ``off-diagonal``: Hermitian with zero diagonal
-blocks about a split index), a real-linear objective given by one coefficient
-matrix per variable, affine PSD constraints, and scalar affine equality
-constraints.  Each PSD constraint is
+A problem is a list of named matrix variables (``hermitian``, or
+``off-diagonal``: Hermitian with zero diagonal blocks about a split index),
+a real-linear objective given by one coefficient matrix per variable, and
+affine PSD constraints.  Each PSD constraint is
 
     F0 + sum over terms  A @ X_v @ B^dagger  >= 0
 
@@ -34,8 +33,6 @@ tolerance.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +40,6 @@ import numpy as np
 from .linalg import matrix_to_json
 
 HERMITIAN = "hermitian"
-REAL_SYMMETRIC = "real-symmetric"
 OFF_DIAGONAL = "off-diagonal"
 
 DEFAULT_TOL = 1e-7
@@ -62,8 +58,8 @@ class SdpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpVariable:
-    """A matrix variable; an ``off-diagonal`` one is Hermitian with its
-    entries (k, l) zero unless k < split <= l or l < split <= k."""
+    """A Hermitian matrix variable; an ``off-diagonal`` one has its entries
+    (k, l) zero unless k < split <= l or l < split <= k."""
     name: str
     side: int
     domain: str = HERMITIAN
@@ -86,20 +82,14 @@ class PsdConstraint:
 
 
 @dataclass
-class EqualityConstraint:
-    """sum_v Re tr(E_v^dagger X_v) = rhs."""
-    coeffs: dict[str, np.ndarray]
-    rhs: float
-    name: str = ""
-
-
-@dataclass
 class SdpProblem:
     variables: list[SdpVariable]
     objective: dict[str, np.ndarray]
     psd_constraints: list[PsdConstraint]
-    equalities: list[EqualityConstraint] = field(default_factory=list)
     maximize: bool = True
+    # always empty and not a field: programs have no equality rows, and the
+    # benchmark's tracer still reads their count
+    equalities = ()
 
     def variable(self, name: str) -> SdpVariable:
         for v in self.variables:
@@ -131,14 +121,6 @@ class SdpProblem:
                 }
                 for c in self.psd_constraints
             ],
-            "equalities": [
-                {
-                    "name": e.name,
-                    "rhs": e.rhs,
-                    "coeffs": {k: matrix_to_json(m) for k, m in e.coeffs.items()},
-                }
-                for e in self.equalities
-            ],
         }
 
 
@@ -166,9 +148,8 @@ class BasisMap:
     H_j has the entry ``coefs[p, j]`` at (``rows[p, j]``, ``cols[p, j]``) for
     p = 0, 1; a diagonal unit pads its second entry with a zero coefficient.
     The basis is the diagonal units, then for each k < l the pair
-    (E_kl + E_lk)/sqrt 2, i (E_kl - E_lk)/sqrt 2; real-symmetric variables
-    keep only the first of each pair, and off-diagonal variables keep no
-    diagonal unit and only the pairs with k < split <= l.
+    (E_kl + E_lk)/sqrt 2, i (E_kl - E_lk)/sqrt 2; off-diagonal variables
+    keep no diagonal unit and only the pairs with k < split <= l.
     """
     side: int
     rows: np.ndarray        # (2, size) int
@@ -192,11 +173,10 @@ class BasisMap:
 
 def basis_map(var: SdpVariable) -> BasisMap:
     """The basis map of a variable: side^2 parameters for a Hermitian
-    variable, side (side + 1) / 2 for a real-symmetric one, and
-    2 split (side - split) for an off-diagonal one, which keeps only the
-    pairs with k < split <= l and no diagonal units."""
+    variable and 2 split (side - split) for an off-diagonal one, which keeps
+    only the pairs with k < split <= l and no diagonal units."""
     d = var.side
-    if var.domain not in (HERMITIAN, REAL_SYMMETRIC, OFF_DIAGONAL):
+    if var.domain not in (HERMITIAN, OFF_DIAGONAL):
         raise SdpError(f"unknown variable domain {var.domain!r}")
     diagonal = var.domain != OFF_DIAGONAL
     if diagonal != (var.split is None) or not diagonal and not 0 < var.split < d:
@@ -209,11 +189,8 @@ def basis_map(var: SdpVariable) -> BasisMap:
         for l in range(k + 1, d):
             if not diagonal and not k < var.split <= l:
                 continue
-            places.append(((k, l), (l, k)))
-            coefs.append((r, r))
-            if var.domain != REAL_SYMMETRIC:
-                places.append(((k, l), (l, k)))
-                coefs.append((1j * r, -1j * r))
+            places += [((k, l), (l, k))] * 2
+            coefs += [(r, r), (1j * r, -1j * r)]
     rows, cols = np.array(places).transpose(2, 1, 0)
     return BasisMap(d, rows, cols, np.array(coefs, dtype=complex).T)
 
@@ -281,10 +258,8 @@ class _PairPlan:
 
 @dataclass
 class _CompiledLmi:
-    """maximize g.z subject to F0_c + sum_j z_j G_cj >= 0 per block.
+    """maximize g.y subject to F0_c + sum_j y_j G_cj >= 0 per block.
 
-    The full parameter vector is y = y0 + N z, with N None when there are
-    no equality constraints; y0 is folded into the constants F0_c.
     Parameter j of variable v sits at ``offsets[v] + j`` of y, and
     G_cj = sum_t A_t H_j B_t^dagger over the terms of v in block c, with H_j
     the basis of ``maps[v]``.  Each block carries its padded term stacks and
@@ -297,30 +272,13 @@ class _CompiledLmi:
     offsets: list[int]
     pairs: dict
     sense: float
-    y0: np.ndarray | None = None
-    nullspace: np.ndarray | None = None
-    shift: float = 0.0       # objective constant from eliminated equalities
-
-    @functools.cached_property
-    def m_full(self) -> int:
-        """The length of the full parameter vector y."""
-        return sum(t.size for t in self.maps)
-
-    def full(self, z: np.ndarray) -> np.ndarray:
-        """N z, the full-space image of a reduced direction."""
-        return z if self.nullspace is None else self.nullspace @ z
-
-    def params(self, z: np.ndarray) -> np.ndarray:
-        """y0 + N z, the full parameter vector of a reduced point."""
-        return self.full(z) if self.y0 is None else self.y0 + self.full(z)
 
     def variable(self, y: np.ndarray, v: int) -> np.ndarray:
-        """X_v of the full parameter vector y."""
+        """X_v of the parameter vector y."""
         return self.maps[v].matrix(y[self.offsets[v]: self.offsets[v] + self.maps[v].size])
 
-    def apply(self, z: np.ndarray) -> list[np.ndarray]:
-        """sum_j z_j G_cj for every block c: L [X_t B_t^dagger]_t."""
-        y = self.full(z)
+    def apply(self, y: np.ndarray) -> list[np.ndarray]:
+        """sum_j y_j G_cj for every block c: L [X_t B_t^dagger]_t."""
         out = []
         for blk in self.blocks:
             n_terms, d, side = blk.right_h.shape
@@ -332,13 +290,13 @@ class _CompiledLmi:
     def adjoint(self, mats: list[np.ndarray]) -> np.ndarray:
         """(sum_c Re tr(G_cj M_c))_j for Hermitian M_c: the traces of
         B_t^dagger M A_t against the basis, summed by parameter."""
-        y = np.zeros(self.m_full)
+        y = np.zeros(self.g.size)
         for blk, mat in zip(self.blocks, mats):
             n_terms, d, side = blk.right_h.shape
             ys = blk.right_h @ (mat @ blk.left_cat).reshape(side, n_terms, d).transpose(1, 0, 2)
             y += np.bincount(blk.param, ys.reshape(-1).view(float)[blk.scatter] * blk.coef,
                              minlength=y.size)
-        return y if self.nullspace is None else self.nullspace.T @ y
+        return y
 
     def schur(self, w_blk: list[np.ndarray]) -> np.ndarray:
         """S_ij = sum_c Re tr(G_ci W_c G_cj W_c), assembled from the term factors.
@@ -362,7 +320,7 @@ class _CompiledLmi:
                         kmats[key] += k
                     else:
                         kmats[key] = k
-        s = np.zeros((self.m_full, self.m_full))
+        s = np.zeros((self.g.size, self.g.size))
         for key, k in kmats.items():
             plan = self.pairs[key]
             entries = k.reshape(-1)[plan.rows + plan.cols]
@@ -375,10 +333,7 @@ class _CompiledLmi:
             else:
                 s[rows, cols] = block
                 s[cols, rows] = block.T
-        if self.nullspace is None:
-            return s
-        s = self.nullspace.T @ s @ self.nullspace
-        return (s + s.T) / 2.0
+        return s
 
 
 def _kron_schur(f: np.ndarray, p: _BlockVar, q: _BlockVar, plan: _PairPlan) -> np.ndarray:
@@ -398,10 +353,10 @@ def _schur_entries(t: BasisMap, first_only: bool):
     (a, b) of its entries, in row-major order, and for each element the
     index ``pick[p, j]`` of its entries' places and their ``weights[p, j]``.
 
-    With ``first_only``, as on Hermitian and off-diagonal domains, where
-    the map takes X^dagger to G(X)^dagger, H_j = c E_ab + conj(c) E_ba
-    contributes 2 Re(c tr(G(E_ab) W G_k W)) for Hermitian G_k and W, so an
-    element keeps its first entry, with twice its weight off the diagonal.
+    With ``first_only``, for the rows of S: since the map takes X^dagger
+    to G(X)^dagger, H_j = c E_ab + conj(c) E_ba contributes
+    2 Re(c tr(G(E_ab) W G_k W)) for Hermitian G_k and W, so an element
+    keeps its first entry, with twice its weight off the diagonal.
     """
     if first_only:
         rows, cols = t.rows[:1], t.cols[:1]
@@ -427,16 +382,16 @@ def _pair_plan(v_entries, u_entries, du: int, at: tuple) -> _PairPlan:
                      v_pick, weights, u_pick, coefs, at)
 
 
-def _coefficient_row(problem, index, maps, offsets, coeffs, what):
-    """(Re tr(C_v^dagger H_j))_j over the full parameter vector."""
+def _objective_row(problem, index, maps, offsets):
+    """(Re tr(C_v^dagger H_j))_j over the parameter vector."""
     row = np.zeros(sum(t.size for t in maps))
-    for name, c in coeffs.items():
+    for name, c in problem.objective.items():
         var = problem.variable(name)
         c = np.asarray(c, dtype=complex)
         if c.shape != (var.side, var.side):
-            raise SdpError(f"{what} coefficient for {name!r} has wrong shape")
+            raise SdpError(f"objective coefficient for {name!r} has wrong shape")
         if not np.all(np.isfinite(c)):
-            raise SdpError(f"{what} coefficient for {name!r} is not finite")
+            raise SdpError(f"objective coefficient for {name!r} is not finite")
         v = index[name]
         row[offsets[v]: offsets[v] + maps[v].size] += maps[v].traces(c.conj().T)
     return row
@@ -526,40 +481,29 @@ def _check_hermitian_valued(problem, t, v, c_idx, side, factors):
             f"{problem.variables[v].name!r}, parameter {bad[0]})")
 
 
-def _compile(problem: SdpProblem, feas_tol: float) -> _CompiledLmi | None:
-    """Parameter maps, objective and stacked term factors of every block.
-
-    Equality constraints are eliminated through y = y0 + N z; returns None
-    when they are inconsistent.
-    """
+def _compile(problem: SdpProblem) -> _CompiledLmi:
+    """Parameter maps, objective and stacked term factors of every block."""
     for v in problem.variables:
         if v.side <= 0:
             raise SdpError(f"variable {v.name!r} has nonpositive side")
     maps = [basis_map(v) for v in problem.variables]
     sizes = [t.size for t in maps]
     offsets = [int(o) for o in np.cumsum([0] + sizes[:-1])]
-    m_full = sum(sizes)
-    if m_full > MAX_PARAMETERS:
+    m = sum(sizes)
+    if m > MAX_PARAMETERS:
         raise SdpError(
-            f"problem has {m_full} scalar parameters, beyond the dense "
+            f"problem has {m} scalar parameters, beyond the dense "
             f"interior-point scale ({MAX_PARAMETERS}); reduce the dimensions")
     index = {v.name: i for i, v in enumerate(problem.variables)}
 
     sense = 1.0 if problem.maximize else -1.0
-    g_full = sense * _coefficient_row(problem, index, maps, offsets, problem.objective,
-                                      "objective")
-    a_eq = np.array([_coefficient_row(problem, index, maps, offsets, eq.coeffs, "equality")
-                     for eq in problem.equalities]).reshape(len(problem.equalities), m_full)
-    r_eq = np.array([eq.rhs for eq in problem.equalities], dtype=float)
-    if not np.all(np.isfinite(r_eq)):
-        raise SdpError("equality right-hand side is not finite")
+    g = sense * _objective_row(problem, index, maps, offsets)
 
     blocks = [_compile_block(problem, index, maps, offsets, c_idx, con)
               for c_idx, con in enumerate(problem.psd_constraints)]
     if not blocks:
         raise SdpError("problem has no PSD constraints")
-    firsts = [_schur_entries(t, v.domain != REAL_SYMMETRIC)
-              for t, v in zip(maps, problem.variables)]
+    firsts = [_schur_entries(t, True) for t in maps]
     alls = [_schur_entries(t, False) for t in maps]
     pairs = {}
     for blk in blocks:
@@ -571,27 +515,7 @@ def _compile(problem: SdpProblem, feas_tol: float) -> _CompiledLmi | None:
                           slice(offsets[u], offsets[u] + sizes[u]))
                     pairs[v, u] = _pair_plan(firsts[v], alls[u], maps[u].side, at)
 
-    lmi = _CompiledLmi(g_full, blocks, maps, offsets, pairs, sense)
-    if a_eq.shape[0] == 0:
-        return lmi
-    y0, *_ = np.linalg.lstsq(a_eq, r_eq, rcond=None)
-    if np.linalg.norm(a_eq @ y0 - r_eq) > feas_tol * (1.0 + np.linalg.norm(r_eq)):
-        return None
-    _, s, vt = np.linalg.svd(a_eq, full_matrices=True)
-    rank = int(np.sum(s > max(a_eq.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)))
-    nullspace = vt[rank:].T
-    shifted = [dataclasses.replace(blk, constant=_herm(blk.constant + f))
-               for blk, f in zip(blocks, lmi.apply(y0))]
-    return dataclasses.replace(lmi, g=nullspace.T @ g_full, blocks=shifted, y0=y0,
-                               nullspace=nullspace, shift=float(g_full @ y0))
-
-
-def _recover_assignments(problem, lmi, y_full):
-    out = {}
-    for v, var in enumerate(problem.variables):
-        x = lmi.variable(y_full, v)
-        out[var.name] = x.real if var.domain == REAL_SYMMETRIC else x
-    return out
+    return _CompiledLmi(g, blocks, maps, offsets, pairs, sense)
 
 
 # -- core interior-point iteration -------------------------------------------
@@ -697,7 +621,8 @@ def _frobenius(a):
 
 
 def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
-    """Interior-point loop on: maximize g.z s.t. F0_c + sum z_j G_cj >= 0.
+    """Interior-point loop on: maximize g.z s.t. F0_c + sum z_j G_cj >= 0,
+    with z the variables' parameter vector.
 
     Dual: minimize sum_c Re tr(F0_c X_c) s.t. sum_c Re tr(G_cj X_c) = -g_j,
     X_c >= 0.  Iterates are complex Hermitian blocks of their native side.
@@ -710,7 +635,6 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
     n_tot = sum(sides)
     eyes = [np.eye(s, dtype=complex) for s in sides]
 
-    shift = lmi.shift
     data_scale = max(
         [1.0, float(np.max(np.abs(g))) if m else 1.0]
         + [float(np.linalg.norm(f0, 2)) for f0 in blocks_f0])
@@ -748,7 +672,7 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
         gap_abs = abs(pobj - dobj)
 
         # gap measured against the user-facing objective magnitudes
-        gap_scale = max(1.0, abs(pobj + shift), abs(dobj + shift))
+        gap_scale = max(1.0, abs(pobj), abs(dobj))
         if gap_abs <= tol * gap_scale and prim_res <= feas_tol and dual_res <= feas_tol:
             status = "optimal"
             break
@@ -857,7 +781,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
     - ``optimal``: certified, as below;
     - ``infeasible`` / ``unbounded``: a normalized divergence certificate
-      was found, or the equality constraints are inconsistent;
+      was found;
     - ``max-iters``: ``max_iters`` iterations ran without certifying, or
       the final point failed the eigenvalue check below;
     - ``stalled``: the slack S left the PSD cone, so no scaling exists;
@@ -870,25 +794,20 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     is not positive and finite, raise ``SdpError`` before any iteration.
     On status ``optimal`` the primal and dual values are within ``tol`` of
     each other (relative to max(1, values)), every PSD block has minimum
-    eigenvalue >= -10*feas_tol at the returned point, and equality
-    residuals vanish by construction of the eliminated parameterization.
-    ``dual_blocks`` holds the Hermitian PSD dual matrix X_c of each PSD
-    constraint; with no equalities the dual value is sum_c Re tr(F0_c X_c)
-    for a maximization and its negation for a minimization.
+    eigenvalue >= -10*feas_tol at the returned point.  ``dual_blocks`` holds
+    the Hermitian PSD dual matrix X_c of each PSD constraint, and the dual
+    value is sum_c Re tr(F0_c X_c) for a maximization and its negation for
+    a minimization.
     """
     for name, t in (("tol", tol), ("feas_tol", feas_tol)):
         if not (np.isfinite(t) and t > 0):
             raise SdpError(f"{name} must be positive and finite, not {t!r}")
-    lmi = _compile(problem, feas_tol)
-    if lmi is None:
-        return SdpSolution("infeasible", 0.0, 0.0, 0.0, {}, 0, tol, feas_tol,
-                           {"primal": np.inf, "dual": np.inf, "min_eig": -np.inf})
-
+    lmi = _compile(problem)
     status, z, x_blk, pobj, dobj, iters, residuals = _solve_lmi(lmi, tol, feas_tol, max_iters)
 
-    assignments = _recover_assignments(problem, lmi, lmi.params(z))
-    primal = lmi.sense * (pobj + lmi.shift)
-    dual = lmi.sense * (dobj + lmi.shift)
+    assignments = {var.name: lmi.variable(z, v) for v, var in enumerate(problem.variables)}
+    primal = lmi.sense * pobj
+    dual = lmi.sense * dobj
     return SdpSolution(
         status=status,
         primal_value=float(primal),

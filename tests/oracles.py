@@ -10,7 +10,8 @@ None of these is used by a command or a value function:
 - ``mu_witness_program`` is the witness side of the symmetrized norm, whose
   split dual the package solves;
 - ``realify`` and ``embed_complex`` turn a complex program into the
-  equivalent real-symmetric one, so the solver can be run on both.
+  equivalent one with real data on variables of twice the side, so the
+  solver can be run on both.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ import numpy as np
 
 from rankonegames import linalg as la
 from rankonegames import sdp
-from rankonegames.sdp import (
-    REAL_SYMMETRIC,
-    EqualityConstraint,
-    PsdConstraint,
-    PsdTerm,
-    SdpProblem,
-    SdpVariable,
-)
+from rankonegames.sdp import PsdConstraint, PsdTerm, SdpProblem, SdpVariable
 from rankonegames.games import RankOneGame
 from rankonegames.values import (
     DEFAULT_SDP_TOL,
@@ -231,16 +225,21 @@ def realify(m: np.ndarray) -> np.ndarray:
 
 
 def embed_complex(p: SdpProblem) -> SdpProblem:
-    """Real-symmetric program with the same optimum as the complex one.
+    """A program with real data and the same optimum as the complex one.
 
-    Every variable doubles its side via H -> [[Re H, -Im H],[Im H, Re H]];
-    objective and equality coefficients pick up a factor 1/2 because the
-    embedding doubles traces.  PSD is preserved in both directions, and
-    averaging any feasible point of the embedded program with its
-    conjugation by [[0,-I],[I,0]] lands back on an embedded point with the
-    same objective, so the optima agree.
+    Every variable becomes a Hermitian variable of twice the side, and the
+    data go through H -> [[Re H, -Im H],[Im H, Re H]]; objective
+    coefficients pick up a factor 1/2 because the embedding doubles traces.
+    The embedding of a feasible point is feasible with the same objective,
+    since PSD is preserved in both directions.  Conversely, the data are
+    real, so the complex conjugate of a feasible point is feasible with the
+    same objective, and so is its conjugation by J = [[0,-I],[I,0]], which
+    commutes with every embedded matrix.  Averaging a feasible point with
+    its conjugate and then with its J-conjugate gives a real point that
+    commutes with J, which is an embedded point, with the same objective:
+    so the optima agree.
     """
-    variables = [SdpVariable(v.name, 2 * v.side, REAL_SYMMETRIC) for v in p.variables]
+    variables = [SdpVariable(v.name, 2 * v.side) for v in p.variables]
     objective = {k: realify(c) / 2.0 for k, c in p.objective.items()}
     constraints = [
         PsdConstraint(
@@ -250,8 +249,4 @@ def embed_complex(p: SdpProblem) -> SdpProblem:
         )
         for c in p.psd_constraints
     ]
-    equalities = [
-        EqualityConstraint({k: realify(m) / 2.0 for k, m in e.coeffs.items()}, e.rhs, e.name)
-        for e in p.equalities
-    ]
-    return SdpProblem(variables, objective, constraints, equalities, p.maximize)
+    return SdpProblem(variables, objective, constraints, p.maximize)

@@ -166,17 +166,24 @@ def test_criterion_10_sdp_engine_suite():
     for _ in range(8):
         c = la.random_hermitian(4, rng)
         lam = float(np.linalg.eigvalsh(c)[-1])
+        # min t s.t. tI - C >= 0, whose dual block is a density matrix X
+        # with tr(CX) = lambda_max(C)
         problem = sdp.SdpProblem(
-            variables=[sdp.SdpVariable("X", 4)],
-            objective={"X": c},
+            variables=[sdp.SdpVariable("t", 1)],
+            objective={"t": np.array([[1.0]])},
             psd_constraints=[sdp.PsdConstraint(
-                np.zeros((4, 4)), [sdp.PsdTerm("X", np.eye(4), np.eye(4))])],
-            equalities=[sdp.EqualityConstraint({"X": np.eye(4)}, 1.0)],
+                -c, [sdp.PsdTerm("t", e[:, None], e[:, None]) for e in np.eye(4)])],
+            maximize=False,
         )
         sol = sdp.solve(problem, tol=1e-7)
         assert sol.status == "optimal"
         assert abs(sol.primal_value - lam) <= 1e-7 * max(1.0, abs(lam)) * 10
         assert sol.gap <= 1e-7 * max(1.0, abs(sol.primal_value), abs(sol.dual_value))
+        [x] = sol.dual_blocks
+        assert np.allclose(x, x.conj().T, atol=1e-12)
+        assert np.linalg.eigvalsh(x)[0] >= -1e-7
+        assert abs(np.trace(x).real - 1.0) <= 1e-7
+        assert abs(np.trace(c @ x).real - lam) <= 1e-7 * max(1.0, abs(lam)) * 10
         gaps.append(sol.gap)
 
         embedded = sdp.solve(oracles.embed_complex(problem), tol=1e-7)

@@ -82,6 +82,7 @@ class TestValue:
                          "--dump-sdp", str(dump))
         assert code == 0
         prog = json.loads(dump.read_text())
+        assert set(prog) == {"maximize", "variables", "objective", "psd_constraints"}
         assert [v["name"] for v in prog["variables"]] == ["P", "Q"]
         assert len(prog["psd_constraints"]) == 1
         assert prog["maximize"] is False
@@ -94,6 +95,7 @@ class TestValue:
                          "--dump-sdp", str(dump))
         assert code == 0
         prog = json.loads(dump.read_text())
+        assert set(prog) == {"maximize", "variables", "objective", "psd_constraints"}
         # the split dual: cap multipliers of both programs and the split K
         assert [v["name"] for v in prog["variables"]] == ["P1", "Q1", "P2", "Q2", "K"]
         assert prog["variables"][-1] == {"name": "K", "side": 8, "domain": "off-diagonal",

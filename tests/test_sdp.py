@@ -26,18 +26,8 @@ def scalar_times_identity_terms(var, side):
 
 
 def lambda_max_problem(c):
-    """max tr(CX) s.t. tr X = 1, X >= 0; optimum is lambda_max(C)."""
-    side = c.shape[0]
-    return sdp.SdpProblem(
-        variables=[sdp.SdpVariable("X", side)],
-        objective={"X": c},
-        psd_constraints=[sdp.PsdConstraint(np.zeros((side, side)), identity_terms("X", side))],
-        equalities=[sdp.EqualityConstraint({"X": np.eye(side)}, 1.0)],
-    )
-
-
-def lambda_max_epigraph_problem(c):
-    """min t s.t. tI - C >= 0; optimum is lambda_max(C)."""
+    """min t s.t. tI - C >= 0; optimum is lambda_max(C), and the dual block X
+    is a density matrix with tr(CX) = lambda_max(C)."""
     side = c.shape[0]
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable("t", 1)],
@@ -63,17 +53,19 @@ class TestLambdaMaxPrograms:
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(lam, abs=1e-7 * max(1.0, abs(lam)) * 10)
         assert sol.gap <= 1e-6
-        # returned assignment is feasible
-        x = sol.assignments["X"]
+        # the returned dual block is feasible and attains the value
+        [x] = sol.dual_blocks
+        assert np.allclose(x, x.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(x)[0] >= -1e-7
         assert np.trace(x).real == pytest.approx(1.0, abs=1e-7)
+        assert np.trace(c @ x).real == pytest.approx(lam, abs=1e-7 * max(1.0, abs(lam)) * 10)
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_epigraph_form(self, seed):
         rng = np.random.default_rng(seed)
         c = random_hermitian(3, rng)
         lam = np.linalg.eigvalsh(c)[-1]
-        sol = sdp.solve(lambda_max_epigraph_problem(c))
+        sol = sdp.solve(lambda_max_problem(c))
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(lam, abs=1e-6)
 
@@ -83,7 +75,7 @@ class TestLambdaMaxPrograms:
         c = random_hermitian(3, rng)
         if kind == "real":
             c = c.real
-        sol = sdp.solve(lambda_max_epigraph_problem(c), tol=1e-7)
+        sol = sdp.solve(lambda_max_problem(c), tol=1e-7)
         assert sol.status == "optimal"
         [x] = sol.dual_blocks
         assert np.allclose(x, x.conj().T, atol=1e-12)
@@ -98,8 +90,8 @@ class TestLambdaMaxPrograms:
             sol = sdp.solve(lambda_max_problem(c), tol=1e-7)
             assert sol.status == "optimal"
             assert sol.gap <= 1e-7 * max(1.0, abs(sol.primal_value), abs(sol.dual_value))
-            # weak duality: dual bound dominates achieved value (max problem)
-            assert sol.dual_value >= sol.primal_value - 1e-6
+            # weak duality: the dual bound lies below the achieved value (min problem)
+            assert sol.dual_value <= sol.primal_value + 1e-6
 
     def test_objective_scaling(self):
         rng = np.random.default_rng(12)
@@ -180,7 +172,7 @@ class TestStatuses:
             monkeypatch.setattr(sdp, "_cholesky", lambda a: None)
         else:
             monkeypatch.setattr(sdp, "_pair", lambda a, b: float("nan"))
-        sol = sdp.solve(lambda_max_epigraph_problem(np.diag([1.0, 2.0])))
+        sol = sdp.solve(lambda_max_problem(np.diag([1.0, 2.0])))
         assert sol.status == status
         assert sol.iterations == 1
 
@@ -208,12 +200,6 @@ class TestStatuses:
         assert sol.primal_value == pytest.approx(plain.primal_value, abs=1e-8)
         assert sol.dual_value == pytest.approx(plain.dual_value, abs=1e-8)
 
-    def test_inconsistent_equalities(self):
-        p = lambda_max_problem(np.eye(2))
-        p.equalities.append(sdp.EqualityConstraint({"X": np.eye(2)}, 2.0))
-        sol = sdp.solve(p)
-        assert sol.status == "infeasible"
-
 
 class TestValidation:
     def test_non_hermitian_block_rejected(self):
@@ -228,35 +214,25 @@ class TestValidation:
             sdp.solve(bad)
 
     def test_map_needs_hermitian_values_on_its_domain_only(self):
-        # X -> X_01 - X_10 vanishes on real-symmetric X, not on Hermitian X
-        c = np.array([[2.0, 1.0], [1.0, -1.0]])
-        p = lambda_max_problem(c)
-        p.variables[0] = sdp.SdpVariable("X", 2, sdp.REAL_SYMMETRIC)
-        p.psd_constraints.append(sdp.PsdConstraint(np.eye(1), [
-            sdp.PsdTerm("X", np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
-            sdp.PsdTerm("X", np.array([[0.0, -1.0]]), np.array([[1.0, 0.0]])),
-        ]))
+        # X -> i X_00 vanishes on off-diagonal X, not on Hermitian X
+        p = real_only_program()
         sol = sdp.solve(p)
         assert sol.status == "optimal"
-        assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-6)
+        assert sol.primal_value == pytest.approx(2.0, abs=1e-6)
         p.variables[0] = sdp.SdpVariable("X", 2)
         with pytest.raises(sdp.SdpError, match="not Hermitian-valued"):
             sdp.solve(p)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("kind", ["constant", "term", "objective", "equality", "rhs"])
+    @pytest.mark.parametrize("kind", ["constant", "term", "objective"])
     def test_non_finite_data_rejected(self, kind, bad):
         p = lambda_max_problem(np.diag([1.0, 2.0]))
-        if kind == "rhs":
-            p.equalities[0].rhs = bad
-        else:
-            data = {
-                "constant": p.psd_constraints[0].constant,
-                "term": p.psd_constraints[0].terms[0].left,
-                "objective": p.objective["X"],
-                "equality": p.equalities[0].coeffs["X"],
-            }[kind]
-            data[0, 0] = bad
+        data = {
+            "constant": p.psd_constraints[0].constant,
+            "term": p.psd_constraints[0].terms[0].left,
+            "objective": p.objective["t"],
+        }[kind]
+        data[0, 0] = bad
         with pytest.raises(sdp.SdpError, match="not finite"):
             sdp.solve(p)
 
@@ -275,9 +251,9 @@ class TestValidation:
     def test_json_dump_shape(self):
         p = lambda_max_problem(np.diag([1.0, 2.0]))
         obj = p.to_json()
-        assert obj["variables"][0]["side"] == 2
-        assert obj["psd_constraints"][0]["terms"][0]["var"] == "X"
-        assert len(obj["equalities"]) == 1
+        assert set(obj) == {"maximize", "variables", "objective", "psd_constraints"}
+        assert obj["variables"][0]["side"] == 1
+        assert obj["psd_constraints"][0]["terms"][0]["var"] == "t"
 
 
 class TestHermitianData:
@@ -290,37 +266,39 @@ class TestHermitianData:
         sol = sdp.solve(lambda_max_problem(c))
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(np.linalg.eigvalsh(c)[-1], abs=1e-6)
-        x = sol.assignments["X"]
+        [x] = sol.dual_blocks
         assert np.allclose(x, x.conj().T)
 
 
 def mixed_program(rng):
-    """A real-symmetric X and a Hermitian Y in complex blocks, with one equality."""
+    """A Hermitian X of side 3 beside a Hermitian Y of side 2 in complex blocks."""
     a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     c = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     return sdp.SdpProblem(
-        variables=[sdp.SdpVariable("X", 3, sdp.REAL_SYMMETRIC), sdp.SdpVariable("Y", 2)],
-        objective={"X": random_hermitian(3, rng).real, "Y": random_hermitian(2, rng)},
+        variables=[sdp.SdpVariable("X", 3), sdp.SdpVariable("Y", 2)],
+        objective={"X": random_hermitian(3, rng), "Y": random_hermitian(2, rng)},
         psd_constraints=[
             sdp.PsdConstraint(np.eye(3), identity_terms("X", 3)),
             sdp.PsdConstraint(np.eye(4), [sdp.PsdTerm("X", a, a), sdp.PsdTerm("Y", b, b),
                                           sdp.PsdTerm("Y", b, c), sdp.PsdTerm("Y", c, b)]),
         ],
-        equalities=[sdp.EqualityConstraint({"X": np.eye(3), "Y": random_hermitian(2, rng)}, 1.0)],
     )
 
 
-def real_only_program(rng):
-    """A real-symmetric X in a block X >= 0 and a 1x1 block 1 + X_01 + X_11:
-    the second map is Hermitian-valued on real-symmetric inputs only."""
+def real_only_program():
+    """max Re tr([[0,1],[1,0]] X) over an off-diagonal X (side 2, split 1)
+    s.t. I + X >= 0 and 1 + X_01 + X_10 + i X_00 >= 0, with optimum 2: the
+    second map is real only where X_00 = 0, so it is Hermitian-valued on the
+    off-diagonal domain and not on Hermitian inputs."""
     e0, e1 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
     return sdp.SdpProblem(
-        variables=[sdp.SdpVariable("X", 2, sdp.REAL_SYMMETRIC)],
-        objective={"X": random_hermitian(2, rng).real},
+        variables=[sdp.SdpVariable("X", 2, sdp.OFF_DIAGONAL, split=1)],
+        objective={"X": np.array([[0.0, 1.0], [1.0, 0.0]])},
         psd_constraints=[
             sdp.PsdConstraint(np.eye(2), identity_terms("X", 2)),
-            sdp.PsdConstraint(np.eye(1), [sdp.PsdTerm("X", e0, e1), sdp.PsdTerm("X", e1, e1)]),
+            sdp.PsdConstraint(np.eye(1), [sdp.PsdTerm("X", e0, e1), sdp.PsdTerm("X", e1, e0),
+                                          sdp.PsdTerm("X", 1j * e0, e0)]),
         ],
     )
 
@@ -335,7 +313,7 @@ def schur_programs():
         "mu-witness": oracles.mu_witness_program(g),
         "norm": oracles.haagerup_norm_program(u, 2, 2),
         "mixed": mixed_program(np.random.default_rng(33)),
-        "real-only": real_only_program(np.random.default_rng(39)),
+        "real-only": real_only_program(),
     }
 
 
@@ -348,7 +326,7 @@ def dense_basis(t):
 
 
 class TestBasisMap:
-    @pytest.mark.parametrize("domain,count", [(sdp.HERMITIAN, 16), (sdp.REAL_SYMMETRIC, 10)])
+    @pytest.mark.parametrize("domain,count", [(sdp.HERMITIAN, 16)])
     def test_orthonormal_basis(self, domain, count):
         t = sdp.basis_map(sdp.SdpVariable("X", 4, domain))
         mats = dense_basis(t)
@@ -411,30 +389,28 @@ class TestSchurAssembly:
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_matches_dense_reference(self, name):
         problem = schur_programs()[name]
-        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        lmi = sdp._compile(problem)
         w_blk = random_blocks(problem, np.random.default_rng(34))
         gmats = dense_operator(problem)
         dense = np.array([[sum(np.trace(gi @ w @ gj @ w).real
                                for gi, gj, w in zip(row, col, w_blk))
                            for col in gmats] for row in gmats])
-        if problem.equalities:
-            dense = lmi.nullspace.T @ dense @ lmi.nullspace
         schur = lmi.schur(w_blk)
         assert schur.shape == dense.shape
         assert np.linalg.norm(schur - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 class TestBlockOperator:
-    # mixed sides in one block ("mixed": real-symmetric X of side 3 beside Y of
-    # side 2), one variable in two blocks ("mu"'s K), equality elimination
-    # ("mixed"), a map Hermitian-valued on real-symmetric inputs only ("real-only")
+    # mixed sides in one block ("mixed": X of side 3 beside Y of side 2), one
+    # variable in two blocks ("mu"'s K), a map Hermitian-valued on off-diagonal
+    # inputs only ("real-only")
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_apply_matches_dense_reference(self, name):
         problem = schur_programs()[name]
-        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        lmi = sdp._compile(problem)
         z = np.random.default_rng(36).standard_normal(lmi.g.size)
         gmats = dense_operator(problem)
-        dense = [sum(yj * row[c] for yj, row in zip(lmi.full(z), gmats))
+        dense = [sum(yj * row[c] for yj, row in zip(z, gmats))
                  for c in range(len(problem.psd_constraints))]
         for got, want in zip(lmi.apply(z), dense):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -442,18 +418,16 @@ class TestBlockOperator:
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_adjoint_matches_dense_reference(self, name):
         problem = schur_programs()[name]
-        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        lmi = sdp._compile(problem)
         mats = random_blocks(problem, np.random.default_rng(37))
         dense = np.array([sum(np.trace(g @ m).real for g, m in zip(row, mats))
                           for row in dense_operator(problem)])
-        if problem.equalities:
-            dense = lmi.nullspace.T @ dense
         assert np.linalg.norm(lmi.adjoint(mats) - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_adjoint_identity(self, name):
         problem = schur_programs()[name]
-        lmi = sdp._compile(problem, sdp.DEFAULT_FEAS_TOL)
+        lmi = sdp._compile(problem)
         rng = np.random.default_rng(38)
         z = rng.standard_normal(lmi.g.size)
         mats = [random_hermitian(con.constant.shape[0], rng) for con in problem.psd_constraints]
