@@ -50,6 +50,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {text!r}")
+    return seed
+
+
 # -- deterministic serialization -------------------------------------------------
 
 def _fmt_float(x: float) -> str:
@@ -429,7 +440,7 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--tol", type=_tolerance, default=1e-7,
                        help="SDP duality-gap tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized parts")
+        p.add_argument("--seed", type=_seed, default=0, help="seed for randomized parts")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="also write the report to this path")
 

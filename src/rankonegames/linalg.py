@@ -53,13 +53,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def basis_ket(dim: int, i: int) -> np.ndarray:
-    """Column vector |i> of length dim."""
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def ketbra(dim_i: int, i: int, dim_j: int, j: int) -> np.ndarray:
     """Matrix unit |i><j| of shape (dim_i, dim_j)."""
     m = np.zeros((dim_i, dim_j), dtype=complex)
@@ -135,12 +128,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(singular_values(a)))
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    s = singular_values(a)
-    return float(s[0]) if s.size else 0.0
-
-
 def polar_maximizer(y: np.ndarray):
     """Unitary U maximizing Re tr(U Y); the maximum equals trace_norm(Y).
 
@@ -156,45 +143,6 @@ def polar_maximizer(y: np.ndarray):
     p, s, qdag = np.linalg.svd(y)
     u = qdag.conj().swapaxes(-1, -2) @ p.conj().swapaxes(-1, -2)
     return u, s.sum(axis=-1)
-
-
-def row_block_norm(blocks) -> float:
-    """|| sum_i A_i A_i* ||^(1/2) for same-size square blocks."""
-    return _block_norm(blocks, row=True)
-
-
-def column_block_norm(blocks) -> float:
-    """|| sum_i A_i* A_i ||^(1/2) for same-size square blocks."""
-    return _block_norm(blocks, row=False)
-
-
-def _block_norm(blocks, row: bool) -> float:
-    blocks = [as_matrix(b) for b in blocks]
-    if not blocks:
-        return 0.0
-    side = blocks[0].shape
-    if side[0] != side[1]:
-        raise DimensionMismatchError("blocks must be square")
-    acc = np.zeros(side, dtype=complex)
-    for b in blocks:
-        if b.shape != side:
-            raise DimensionMismatchError("blocks must share one square dimension")
-        acc += b @ b.conj().T if row else b.conj().T @ b
-    # acc is PSD Hermitian; operator norm = top eigenvalue
-    top = float(np.linalg.eigvalsh((acc + acc.conj().T) / 2.0)[-1])
-    return float(np.sqrt(max(top, 0.0)))
-
-
-def cb_norm_c_to_r(t: np.ndarray) -> float:
-    """Completely bounded norm of T between column and row structures.
-
-    Equals the Euclidean norm of the singular values, i.e. the Frobenius
-    norm of T.
-    """
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1]:
-        raise DimensionMismatchError("expected a square matrix")
-    return float(np.linalg.norm(t))
 
 
 def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

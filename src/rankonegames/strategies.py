@@ -139,11 +139,15 @@ def named_strategy(name: str, n: int):
 
 @dataclass
 class SeesawResult:
+    """The winning restart's exact value, strategy, objective trace and
+    convergence, its index, and how many restarts ran: 1 when restart 0 met
+    the target, the configured count otherwise."""
     value: float
     strategy: EntangledStrategy
     trace: list = field(default_factory=list)
     restart_index: int = 0
     converged: bool = False
+    restarts_run: int = 1
 
 
 def _transposed_coefficients(k: np.ndarray, d: int, d_anc: int) -> np.ndarray:
@@ -154,43 +158,13 @@ def _transposed_coefficients(k: np.ndarray, d: int, d_anc: int) -> np.ndarray:
         nr, d * d_anc, d * d_anc)
 
 
-def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None = None,
-                       restarts: int = 20, iters: int = 200,
-                       seed: int = 0) -> SeesawResult:
-    """Heuristic block-coordinate ascent over unitaries and ancilla vectors.
-
-    Alternates: (a) the top singular pair of the contracted ancilla
-    operator, (b) a polar update of U with everything else fixed, (c) the
-    same for V.  Each subproblem is solved exactly, so the per-iteration
-    objective is nondecreasing.  The first restart starts from identity
-    unitaries; later restarts draw Haar-random U, then V, from the given
-    seed.  All restarts advance together as one stacked batch, and each
-    keeps its own stopping rule: it is frozen, and leaves the batch, once
-    its objective has gained at most 1e-9 (relative, above 1) over ten
-    iterations, or after `iters` iterations.  The reported value
-    re-evaluates each restart's strategy through win_prob_entangled on
-    purify(g), so it is a certified lower bound.  The winner is the
-    lowest-index restart whose value is within 1e-13 (relative, above 1)
-    of the best, and the result reports that restart's own value,
-    strategy, trace and convergence.
-    """
-    if d_ap is None:
-        d_ap = g.d_a
-    if d_bp is None:
-        d_bp = g.d_b
-    if d_ap < 1 or d_bp < 1:
-        raise StrategyError("ancilla dimensions must be at least 1")
-    if restarts < 1 or iters < 1:
-        raise StrategyError("restarts and iters must be at least 1")
+def _ascend(g: RankOneGame, d_ap: int, d_bp: int, u: np.ndarray, v: np.ndarray,
+            iters: int):
+    """Run the stacked restarts that start from the unitaries u[r], v[r]
+    together, each until its own stopping rule.  Returns each restart's
+    strategy, objective trace and convergence flag."""
     d_a, d_b = g.d_a, g.d_b
-    rng = np.random.default_rng(seed)
-    us = [np.eye(d_a * d_ap, dtype=complex)]
-    vs = [np.eye(d_b * d_bp, dtype=complex)]
-    for _ in range(1, restarts):
-        us.append(la.random_unitary(d_a * d_ap, rng))
-        vs.append(la.random_unitary(d_b * d_bp, rng))
-    u, v = np.stack(us), np.stack(vs)
-
+    restarts = u.shape[0]
     # M[(a,b),(c,d)] regrouped as [(a,c),(b,d)]; U[(c,u),(a,v)], V[(d,w),(b,z)]
     m_ac_bd = g.m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a ** 2, d_b ** 2)
     trace = np.zeros((restarts, iters))
@@ -236,18 +210,70 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
             active, u, v = active[~stop], u[~stop], v[~stop]
             if not active.size:
                 break
-
-    p = purify(g)
     strats = [EntangledStrategy(d_ap, d_bp, final_u[r], final_v[r],
                                 final_x[r] / np.linalg.norm(final_x[r]))
               for r in range(restarts)]
-    wins = np.array([win_prob_entangled(p, s) for s in strats])
+    traces = [trace[r, :steps[r]].tolist() for r in range(restarts)]
+    return strats, traces, converged.tolist()
+
+
+def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None = None,
+                       restarts: int = 20, iters: int = 200, seed: int = 0,
+                       target: float | None = None) -> SeesawResult:
+    """Heuristic block-coordinate ascent over unitaries and ancilla vectors.
+
+    Alternates: (a) the top singular pair of the contracted ancilla
+    operator, (b) a polar update of U with everything else fixed, (c) the
+    same for V.  Each subproblem is solved exactly, so the per-iteration
+    objective is nondecreasing.  A restart stops once its objective has
+    gained at most 1e-9 (relative, above 1) over ten iterations, or after
+    `iters` iterations.  Each restart's value re-evaluates its strategy
+    through win_prob_entangled on purify(g), so it is a certified lower
+    bound.
+
+    Restart 0 runs first and alone, from identity unitaries, and draws
+    nothing from the seed.  If a target is given and restart 0's value is
+    at least the target, the call returns restart 0 with restarts_run 1.
+    Otherwise restarts 1 .. restarts-1 draw Haar-random U, then V, from the
+    seed, and advance together as one stacked batch, each by its own
+    stopping rule.  The winner is then the lowest-index restart whose value
+    is within 1e-13 (relative, above 1) of the best, and the result reports
+    that restart's own value, strategy, trace and convergence.
+    """
+    if d_ap is None:
+        d_ap = g.d_a
+    if d_bp is None:
+        d_bp = g.d_b
+    if d_ap < 1 or d_bp < 1:
+        raise StrategyError("ancilla dimensions must be at least 1")
+    if restarts < 1 or iters < 1:
+        raise StrategyError("restarts and iters must be at least 1")
+    if seed < 0:
+        raise StrategyError(f"seed must be non-negative, not {seed}")
+    p = purify(g)
+    strats, traces, converged = _ascend(
+        g, d_ap, d_bp, np.eye(g.d_a * d_ap, dtype=complex)[None],
+        np.eye(g.d_b * d_bp, dtype=complex)[None], iters)
+    wins = [win_prob_entangled(p, strats[0])]
+    if restarts > 1 and (target is None or wins[0] < target):
+        rng = np.random.default_rng(seed)
+        us, vs = [], []
+        for _ in range(1, restarts):
+            us.append(la.random_unitary(g.d_a * d_ap, rng))
+            vs.append(la.random_unitary(g.d_b * d_bp, rng))
+        more_strats, more_traces, more_converged = _ascend(
+            g, d_ap, d_bp, np.stack(us), np.stack(vs), iters)
+        strats += more_strats
+        traces += more_traces
+        converged += more_converged
+        wins += [win_prob_entangled(p, s) for s in more_strats]
+    wins = np.array(wins)
     best = wins.max()
     # restarts that reach the same optimum differ by rounding noise
     r = int(np.flatnonzero(wins >= best - 1e-13 * max(1.0, abs(best)))[0])
-    return SeesawResult(value=float(wins[r]), strategy=strats[r],
-                        trace=trace[r, :steps[r]].tolist(), restart_index=r,
-                        converged=bool(converged[r]))
+    return SeesawResult(value=float(wins[r]), strategy=strats[r], trace=traces[r],
+                        restart_index=r, converged=bool(converged[r]),
+                        restarts_run=len(strats))
 
 
 # -- strategy files -------------------------------------------------------------

@@ -316,7 +316,11 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     strategy, and a quarter of the squared symmetrized norm.  Upper
     candidates: the squared symmetrized norm, the one-way value, and the
     maximal value.  Pessimistic solver sides are quoted throughout, and
-    every provenance is recorded.
+    every provenance is recorded.  Both SDPs are solved before the
+    see-saw, whose target is the upper side less tol (relative, above 1):
+    once restart 0 reaches it, no other restart runs.
+    ``solver_info["seesaw_restarts"]`` is the configured count and
+    ``solver_info["seesaw_restarts_run"]`` the count that ran.
     """
     cfg = seesaw_cfg or SeesawConfig()
     v = maximal_value(g)
@@ -325,6 +329,8 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     qow_ub = max(qres.achieved, qres.bound)
     mu_lo = min(mres.achieved, mres.bound)
     mu_ub = max(mres.achieved, mres.bound)
+    upper_candidates = [("mu^2", mu_ub ** 2), ("qow", qow_ub), ("V", v)]
+    up_prov, up = min(upper_candidates, key=lambda kv: kv[1])
 
     p = purify(g)
     ident = EntangledStrategy(1, 1, np.eye(g.d_a, dtype=complex),
@@ -336,19 +342,19 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     lower_candidates = [("identity", identity_value), ("mu/4", mu_lo ** 2 / 4.0)]
     if cfg.enabled:
         res = seesaw_lower_bound(g, cfg.d_ap, cfg.d_bp, restarts=cfg.restarts,
-                                 iters=cfg.iters, seed=cfg.seed)
+                                 iters=cfg.iters, seed=cfg.seed,
+                                 target=up - tol * max(1.0, up))
         seesaw_value = res.value
         # the heuristic is a lower bound only: ancilla dimensions are a choice
         seesaw_meta = {
             "seesaw_ancilla": [res.strategy.d_ap, res.strategy.d_bp],
             "seesaw_restarts": cfg.restarts,
+            "seesaw_restarts_run": res.restarts_run,
             "seesaw_converged": res.converged,
         }
         lower_candidates.append(("seesaw", seesaw_value))
-    upper_candidates = [("mu^2", mu_ub ** 2), ("qow", qow_ub), ("V", v)]
 
     lo_prov, lo = max(lower_candidates, key=lambda kv: kv[1])
-    up_prov, up = min(upper_candidates, key=lambda kv: kv[1])
     return ValueReport(
         v=v,
         qow=qres.value,

@@ -2,6 +2,9 @@
 
 None of these is used by a command or a value function:
 
+- ``row_block_norm``, ``column_block_norm``, ``cb_norm_c_to_r``,
+  ``operator_norm`` and ``basis_ket`` are the explicit norms and vectors
+  that ``brute_force_haagerup`` and the linear-algebra tests use;
 - ``brute_force_haagerup`` minimizes over explicit decompositions
   u = sum A_i (x) B_i with scipy's optimizers, independent of any SDP;
 - ``haagerup_norm_program`` and ``haagerup_norm`` certify the Haagerup norm
@@ -119,6 +122,60 @@ def mu_witness_program(g: RankOneGame) -> sdp.SdpProblem:
     )
 
 
+# -- explicit norms -----------------------------------------------------------------
+
+def basis_ket(dim: int, i: int) -> np.ndarray:
+    """Column vector |i> of length dim."""
+    v = np.zeros(dim, dtype=complex)
+    v[i] = 1.0
+    return v
+
+
+def operator_norm(a: np.ndarray) -> float:
+    """Largest singular value."""
+    s = la.singular_values(a)
+    return float(s[0]) if s.size else 0.0
+
+
+def row_block_norm(blocks) -> float:
+    """|| sum_i A_i A_i* ||^(1/2) for same-size square blocks."""
+    return _block_norm(blocks, row=True)
+
+
+def column_block_norm(blocks) -> float:
+    """|| sum_i A_i* A_i ||^(1/2) for same-size square blocks."""
+    return _block_norm(blocks, row=False)
+
+
+def _block_norm(blocks, row: bool) -> float:
+    blocks = [la.as_matrix(b) for b in blocks]
+    if not blocks:
+        return 0.0
+    side = blocks[0].shape
+    if side[0] != side[1]:
+        raise la.DimensionMismatchError("blocks must be square")
+    acc = np.zeros(side, dtype=complex)
+    for b in blocks:
+        if b.shape != side:
+            raise la.DimensionMismatchError("blocks must share one square dimension")
+        acc += b @ b.conj().T if row else b.conj().T @ b
+    # acc is PSD Hermitian; operator norm = top eigenvalue
+    top = float(np.linalg.eigvalsh((acc + acc.conj().T) / 2.0)[-1])
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def cb_norm_c_to_r(t: np.ndarray) -> float:
+    """Completely bounded norm of T between column and row structures.
+
+    Equals the Euclidean norm of the singular values, i.e. the Frobenius
+    norm of T.
+    """
+    t = la.as_matrix(t)
+    if t.shape[0] != t.shape[1]:
+        raise la.DimensionMismatchError("expected a square matrix")
+    return float(np.linalg.norm(t))
+
+
 # -- brute-force cross-check ------------------------------------------------------
 
 def brute_force_haagerup(u: np.ndarray, d_a: int, d_b: int, restarts: int = 12,
@@ -180,7 +237,7 @@ def brute_force_haagerup(u: np.ndarray, d_a: int, d_b: int, restarts: int = 12,
     big_b = np.linalg.solve(t, b0)
     mats_a = [big_a[:, i].reshape(d_a, d_a) for i in range(r)]
     mats_b = [big_b[i, :].reshape(d_b, d_b) for i in range(r)]
-    value = la.row_block_norm(mats_a) * la.column_block_norm(mats_b)
+    value = row_block_norm(mats_a) * column_block_norm(mats_b)
     return float(value), mats_a, mats_b
 
 

@@ -316,6 +316,26 @@ class TestTolerance:
         assert not power.exists()
 
 
+class TestSeed:
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("command", ["value", "reproduce"])
+    def test_invalid_seed_is_usage_error(self, command, seed, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the seed was checked")
+
+        monkeypatch.setattr(sdp, "solve", no_solve)
+        argv = {
+            "value": ["--game", str(path), "--which", "bracket"],
+            "reproduce": ["--suite", "all", "--n-max", "2"],
+        }[command]
+        code, out, err = run(capsys, command, *argv, "--seed", seed)
+        assert code == 1
+        assert "--seed" in err and out == ""
+
+
 class TestSeesawRestarts:
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_non_positive_is_usage_error(self, tmp_path, capsys, count):

@@ -203,6 +203,41 @@ class TestSeesawBatch:
             st.seesaw_lower_bound(g, **kwargs)
 
 
+def assert_same_result(a, b):
+    assert (a.value, a.restart_index, a.trace, a.converged, a.restarts_run) == \
+        (b.value, b.restart_index, b.trace, b.converged, b.restarts_run)
+    assert (a.strategy.d_ap, a.strategy.d_bp) == (b.strategy.d_ap, b.strategy.d_bp)
+    for name in ("u", "v", "phi"):
+        assert np.array_equal(getattr(a.strategy, name), getattr(b.strategy, name))
+
+
+class TestSeesawTarget:
+    # below = 0 puts the target at restart 0's own value, which meets it
+    @pytest.mark.parametrize("below", [0.0, 0.1])
+    @pytest.mark.parametrize("case", ["rand2", "gcr2^2"])
+    def test_target_met_by_restart_zero_stops(self, case, below):
+        g, d_ap, d_bp = seesaw_case(case)
+        alone = st.seesaw_lower_bound(g, d_ap, d_bp, restarts=1, seed=7)
+        res = st.seesaw_lower_bound(g, d_ap, d_bp, restarts=20, seed=7,
+                                    target=alone.value - below)
+        assert res.restarts_run == 1
+        assert_same_result(res, alone)
+
+    @pytest.mark.parametrize("case", ["rand2", "rand3"])
+    def test_unreachable_target_runs_every_restart(self, case):
+        g, d_ap, d_bp = seesaw_case(case)
+        above_v = la.trace_norm(g.m) ** 2 + 0.1
+        res = st.seesaw_lower_bound(g, d_ap, d_bp, restarts=6, seed=7, target=above_v)
+        plain = st.seesaw_lower_bound(g, d_ap, d_bp, restarts=6, seed=7)
+        assert res.restarts_run == plain.restarts_run == 6
+        assert_same_result(res, plain)
+
+    def test_negative_seed_rejected(self):
+        g, _ = games.game_gcr(2)
+        with pytest.raises(st.StrategyError, match="seed"):
+            st.seesaw_lower_bound(g, restarts=1, seed=-1)
+
+
 class TestStrategyJson:
     def test_roundtrip_entangled(self):
         s = st.named_strategy("gcr2-swap", 2)

@@ -225,6 +225,20 @@ class TestEntangledValueBounds:
         assert rep.omega_star_lower == pytest.approx(1.0, abs=1e-6)
         assert rep.omega_star_upper == pytest.approx(1.0, abs=1e-6)
 
+    def test_gcr2_stops_after_restart_zero(self):
+        rep = values.entangled_value_bounds(games.game_gcr(2)[0])
+        assert rep.solver_info["seesaw_restarts"] == 20
+        assert rep.solver_info["seesaw_restarts_run"] == 1
+
+    def test_stalled_restart_zero_runs_every_restart(self):
+        # benchmark game rand2-1 at seed 101: restart 0 ends 0.13 below the
+        # upper side, and a later restart closes the bracket
+        g = seeded_game("rand2", index=1)
+        rep = values.entangled_value_bounds(g, seesaw_cfg=values.SeesawConfig(seed=101))
+        assert rep.solver_info["seesaw_restarts_run"] == 20
+        assert rep.omega_star_lower_provenance == "seesaw"
+        assert rep.omega_star_lower == seesaw_lower_bound(g, seed=101).value
+
     def test_report_json_fields(self):
         g, _ = games.game_gc(2)
         rep = values.entangled_value_bounds(g, seesaw_cfg=values.SeesawConfig(enabled=False))
