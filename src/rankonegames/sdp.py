@@ -5,9 +5,10 @@ A problem is a list of named matrix variables (``hermitian``, or
 a real-linear objective given by one coefficient matrix per variable, and
 affine PSD constraints.  Each PSD constraint is
 
-    F0 + sum over terms  A @ X_v @ B^dagger  >= 0
+    F0 + sum over terms  +-A @ X_v @ A^dagger  >= 0,
 
-and the total map must be Hermitian-valued on Hermitian inputs.
+a signed congruence per term, so the map is Hermitian-valued on Hermitian
+inputs by construction.
 
 The solver is Mehrotra's predictor-corrector primal-dual interior-point
 method with Nesterov-Todd scaling (Mehrotra, SIAM J. Optim. 2, 1992; Todd,
@@ -16,14 +17,14 @@ fixes the centering parameter, and the corrector adds the predictor's
 second-order term in the scaled space.  It iterates on complex Hermitian
 blocks of their native side.  Each variable's real parameters reach its
 matrix through a sparse map with at most two entries per parameter.  Each
-block is compiled once into a flat operator: the factors A and B of all
+block is compiled once into a flat operator: the factors A and +-A of all
 its terms, padded to the block's largest variable side and stacked, and
 one index plan that scatters the parameters into per-term copies of their
 variables.  The map is then one scatter, one batched matmul and one matmul
 per block, and its adjoint reads the same plan backwards.  The Schur
 complement is assembled from the same factors, as in the sparsity
 exploitation of Fujisawa, Kojima & Nakata (Math. Programming 79, 1997):
-one matmul per block for all the products B^dagger W A, one per pair of
+one matmul per block for all the products +-A^dagger W A, one per pair of
 variables for their Kronecker sum, and one gather per pair for the basis
 change, so no block-sized matrix per parameter is kept.
 Every ``optimal`` exit carries a dual certificate: the returned primal and
@@ -68,10 +69,11 @@ class SdpVariable:
 
 @dataclass
 class PsdTerm:
-    """One summand A @ X_var @ B^dagger of a PSD constraint block."""
+    """One summand sign * A @ X_var @ A^dagger of a PSD constraint block,
+    with sign +1 or -1."""
     var: str
     left: np.ndarray
-    right: np.ndarray
+    sign: int = 1
 
 
 @dataclass
@@ -114,7 +116,7 @@ class SdpProblem:
                         {
                             "var": t.var,
                             "left": matrix_to_json(t.left),
-                            "right": matrix_to_json(t.right),
+                            "sign": int(t.sign),
                         }
                         for t in c.terms
                     ],
@@ -204,7 +206,7 @@ def _herm(a: np.ndarray) -> np.ndarray:
 @dataclass
 class _BlockVar:
     """The terms of one variable in one block: the block receives
-    sum_t A_t X B_t^dagger over ``count`` consecutive terms of the block's
+    sum_t s_t A_t X A_t^dagger over ``count`` consecutive terms of the block's
     stacks, whose live factor columns are ``cols``."""
     var: int
     side: int
@@ -216,10 +218,12 @@ class _BlockVar:
 class _Block:
     """One PSD block as a flat operator.
 
-    Term t of the block, of variable v, has A_t and B_t^dagger padded with
-    zeros to the block's largest variable side D.  ``scatter``, ``param``
-    and ``coef`` map parameters into the real view of the stack of
-    per-term variable copies X_t (T, D, D): entry ``scatter[k]`` receives
+    Term t of the block, of variable v and sign s_t, has A_t and
+    B_t^dagger = s_t A_t^dagger padded with zeros to the block's largest
+    variable side D; a map of such terms is Hermitian-valued, as the first
+    entry gather of ``_schur_entries`` needs.  ``scatter``, ``param`` and
+    ``coef`` map parameters into the real view of the stack of per-term
+    variable copies X_t (T, D, D): entry ``scatter[k]`` receives
     ``coef[k] * y[param[k]]``.  The same plan read backwards gives the
     adjoint's traces, since Re tr(H_j Y) is the real inner product of H_j
     and Y for Hermitian H_j.
@@ -261,7 +265,7 @@ class _CompiledLmi:
     """maximize g.y subject to F0_c + sum_j y_j G_cj >= 0 per block.
 
     Parameter j of variable v sits at ``offsets[v] + j`` of y, and
-    G_cj = sum_t A_t H_j B_t^dagger over the terms of v in block c, with H_j
+    G_cj = sum_t s_t A_t H_j A_t^dagger over the terms of v in block c, with H_j
     the basis of ``maps[v]``.  Each block carries its padded term stacks and
     parameter plan (``_Block``), and ``pairs`` the Schur basis change of
     every pair of variables that share a block.
@@ -399,9 +403,9 @@ def _objective_row(problem, index, maps, offsets):
 
 def _compile_block(problem, index, maps, offsets, c_idx, con) -> _Block:
     f0 = np.asarray(con.constant, dtype=complex)
+    if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
+        raise SdpError(f"PSD constant block {c_idx} must be square")
     side = f0.shape[0]
-    if f0.shape != (side, side):
-        raise SdpError("PSD constant block must be square")
     if not np.all(np.isfinite(f0)):
         raise SdpError(f"PSD constant block {c_idx} is not finite")
     if np.linalg.norm(f0 - f0.conj().T) > 1e-10 * (1.0 + np.linalg.norm(f0)):
@@ -410,16 +414,14 @@ def _compile_block(problem, index, maps, offsets, c_idx, con) -> _Block:
     for t in con.terms:
         var = problem.variable(t.var)
         a = np.asarray(t.left, dtype=complex)
-        b = np.asarray(t.right, dtype=complex)
-        if a.shape != (side, var.side) or b.shape != (side, var.side):
-            raise SdpError(
-                f"term for {t.var!r} in block {c_idx} has wrong shape "
-                f"(need {side}x{var.side})")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if a.shape != (side, var.side):
+            raise SdpError(f"term for {t.var!r} in block {c_idx} has wrong shape "
+                           f"(need {side}x{var.side})")
+        if not np.all(np.isfinite(a)):
             raise SdpError(f"term for {t.var!r} in block {c_idx} is not finite")
-        grouped.setdefault(index[t.var], []).append((a, b))
-    for v, factors in grouped.items():
-        _check_hermitian_valued(problem, maps[v], v, c_idx, side, factors)
+        if not (np.ndim(t.sign) == 0 and t.sign in (1, -1)):
+            raise SdpError(f"term for {t.var!r} in block {c_idx} has a sign other than +1 or -1")
+        grouped.setdefault(index[t.var], []).append((a, t.sign))
 
     n_terms = sum(len(factors) for factors in grouped.values())
     d = max((maps[v].side for v in grouped), default=1)
@@ -430,9 +432,9 @@ def _compile_block(problem, index, maps, offsets, c_idx, con) -> _Block:
     t0 = width = 0
     for v in sorted(grouped):
         t, factors = maps[v], grouped[v]
-        for k, (a, b) in enumerate(factors):
+        for k, (a, sign) in enumerate(factors):
             left[:, t0 + k, : t.side] = a
-            right_h[t0 + k, : t.side] = b.conj().T
+            right_h[t0 + k, : t.side] = sign * a.conj().T
         terms = np.arange(t0, t0 + len(factors))
         live.append((terms[:, None] * d + np.arange(t.side)).reshape(-1))
         # entry (t, rows, cols) of the stack of variable copies, as real and imaginary slots
@@ -452,40 +454,14 @@ def _compile_block(problem, index, maps, offsets, c_idx, con) -> _Block:
                   cat(live), cat(scatter), cat(param), cat(coef))
 
 
-def _check_hermitian_valued(problem, t, v, c_idx, side, factors):
-    """Raise unless every G_j = sum_t A_t H_j B_t^dag of the variable is Hermitian.
-
-    G(H)[p, q] = sum_ab M[(p,a),(q,b)] H[a, b] with M = U V^dag, the columns
-    of U and V being vec(A_t) and vec(B_t), and H -> G(H)^dag has M^dag in
-    its place.  M - M^dag = [U V] J [U V]^dag, so with [U V] = QR the norm
-    ||M - M^dag||_F = ||R J R^dag||_F <= 1e-9 bounds every ||G_j - G_j^dag||
-    by 1e-9 ||H_j||; otherwise each G_j is tested.
-    """
-    # +-A X A^dagger is Hermitian for Hermitian X
-    if all(np.array_equal(a, b) or np.array_equal(a, -b) for a, b in factors):
-        return
-    n = len(factors)
-    vec_a = np.stack([a for a, _ in factors]).reshape(n, -1).T
-    vec_b = np.stack([b for _, b in factors]).reshape(n, -1).T
-    r = np.linalg.qr(np.hstack([vec_a, vec_b]), mode="r")
-    if np.linalg.norm(r[:, :n] @ r[:, n:].conj().T - r[:, n:] @ r[:, :n].conj().T) <= 1e-9:
-        return
-    m4 = (vec_a @ vec_b.conj().T).reshape(side, t.side, side, t.side)
-    gs = sum(c[:, None, None] * m4[:, a, :, b]
-             for a, b, c in zip(t.rows, t.cols, t.coefs))  # [j, p, q]
-    dev = np.linalg.norm(gs - gs.conj().transpose(0, 2, 1), axis=(1, 2))
-    bad = np.flatnonzero(dev > 1e-9 * (1.0 + np.linalg.norm(gs, axis=(1, 2))))
-    if bad.size:
-        raise SdpError(
-            f"PSD block {c_idx} is not Hermitian-valued (variable "
-            f"{problem.variables[v].name!r}, parameter {bad[0]})")
-
-
 def _compile(problem: SdpProblem) -> _CompiledLmi:
     """Parameter maps, objective and stacked term factors of every block."""
-    for v in problem.variables:
+    index = {}
+    for i, v in enumerate(problem.variables):
         if v.side <= 0:
             raise SdpError(f"variable {v.name!r} has nonpositive side")
+        if index.setdefault(v.name, i) != i:
+            raise SdpError(f"variable {v.name!r} is declared twice")
     maps = [basis_map(v) for v in problem.variables]
     sizes = [t.size for t in maps]
     offsets = [int(o) for o in np.cumsum([0] + sizes[:-1])]
@@ -494,7 +470,6 @@ def _compile(problem: SdpProblem) -> _CompiledLmi:
         raise SdpError(
             f"problem has {m} scalar parameters, beyond the dense "
             f"interior-point scale ({MAX_PARAMETERS}); reduce the dimensions")
-    index = {v.name: i for i, v in enumerate(problem.variables)}
 
     sense = 1.0 if problem.maximize else -1.0
     g = sense * _objective_row(problem, index, maps, offsets)

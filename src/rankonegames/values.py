@@ -81,8 +81,8 @@ def _cap_rows(d_a: int, d_b: int, side: str, leg: int):
 def _multiplier_terms(p: str, q: str, d_a: int, d_b: int, legs) -> list[sdp.PsdTerm]:
     """Terms placing the cap multipliers P (dA x dA) and Q (dB x dB) on the
     diagonal blocks through the adjoints of the cap rows on legs (A, B)."""
-    terms = [sdp.PsdTerm(p, row.T, row.T) for row in _cap_rows(d_a, d_b, "A", legs[0])]
-    return terms + [sdp.PsdTerm(q, row.T, row.T) for row in _cap_rows(d_a, d_b, "B", legs[1])]
+    terms = [sdp.PsdTerm(p, row.T) for row in _cap_rows(d_a, d_b, "A", legs[0])]
+    return terms + [sdp.PsdTerm(q, row.T) for row in _cap_rows(d_a, d_b, "B", legs[1])]
 
 
 def _pairing_objective(rm: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -130,8 +130,8 @@ def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
     d_a, d_b = g.d_a, g.d_b
     s = d_a * d_a + d_b * d_b
     eye = np.eye(s)
-    plain = _multiplier_terms("P1", "Q1", d_a, d_b, (2, 1)) + [sdp.PsdTerm("K", -eye, eye)]
-    transposed = _multiplier_terms("P2", "Q2", d_a, d_b, (1, 2)) + [sdp.PsdTerm("K", eye, eye)]
+    plain = _multiplier_terms("P1", "Q1", d_a, d_b, (2, 1)) + [sdp.PsdTerm("K", eye, -1)]
+    transposed = _multiplier_terms("P2", "Q2", d_a, d_b, (1, 2)) + [sdp.PsdTerm("K", eye)]
     sides = {"P1": d_a, "Q1": d_b, "P2": d_a, "Q2": d_b}
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable(name, d) for name, d in sides.items()]

@@ -37,7 +37,7 @@ from rankonegames.values import (
 
 def _trace_cap_terms(var: str, rows):
     """Terms for -sum_k e_k X e_k^dag, the negated partial trace of the rows."""
-    return [sdp.PsdTerm(var, -row, row) for row in rows]
+    return [sdp.PsdTerm(var, row, -1) for row in rows]
 
 
 # -- witness-side Haagerup norm ---------------------------------------------------
@@ -49,12 +49,12 @@ def haagerup_norm_program(u: np.ndarray, d_a: int, d_b: int,
     f0 = 2.0 * _pairing_objective(ru.conj(), d_a, d_b)
     place_a, place_b = _placement(d_a, d_b, "A"), _placement(d_a, d_b, "B")
     big = sdp.PsdConstraint(f0, [
-        sdp.PsdTerm("YA", place_a, place_a),
-        sdp.PsdTerm("YB", place_b, place_b),
+        sdp.PsdTerm("YA", place_a),
+        sdp.PsdTerm("YB", place_b),
     ], name="gram-block")
 
     def scalar_eye(var, d):
-        return [sdp.PsdTerm(var, e[:, None], e[:, None]) for e in np.eye(d)]
+        return [sdp.PsdTerm(var, e[:, None]) for e in np.eye(d)]
 
     legs = (1, 2) if transposed else (2, 1)
     cap_a_terms = scalar_eye("alpha", d_a) + _trace_cap_terms("YA", _leg_trace_rows(d_a, legs[0]))
@@ -96,14 +96,14 @@ def mu_witness_program(g: RankOneGame) -> sdp.SdpProblem:
     place_a, place_b = _placement(d_a, d_b, "A"), _placement(d_a, d_b, "B")
     proj_a, proj_b = place_a @ place_a.T, place_b @ place_b.T
     transposed_block = [
-        sdp.PsdTerm("Z", eye, eye),
-        sdp.PsdTerm("Z", -proj_a, proj_a),
-        sdp.PsdTerm("Z", -proj_b, proj_b),
-        sdp.PsdTerm("TA", place_a, place_a),
-        sdp.PsdTerm("TB", place_b, place_b),
+        sdp.PsdTerm("Z", eye),
+        sdp.PsdTerm("Z", proj_a, -1),
+        sdp.PsdTerm("Z", proj_b, -1),
+        sdp.PsdTerm("TA", place_a),
+        sdp.PsdTerm("TB", place_b),
     ]
     constraints = [
-        sdp.PsdConstraint(np.zeros((s, s)), [sdp.PsdTerm("Z", eye, eye)], name="witness-psd-h"),
+        sdp.PsdConstraint(np.zeros((s, s)), [sdp.PsdTerm("Z", eye)], name="witness-psd-h"),
         sdp.PsdConstraint(np.zeros((s, s)), transposed_block, name="witness-psd-ht"),
         sdp.PsdConstraint(np.eye(d_a), _trace_cap_terms("Z", _cap_rows(d_a, d_b, "A", 2)),
                           name="alice-cap-h"),
@@ -301,7 +301,7 @@ def embed_complex(p: SdpProblem) -> SdpProblem:
     constraints = [
         PsdConstraint(
             constant=realify(c.constant),
-            terms=[PsdTerm(t.var, realify(t.left), realify(t.right)) for t in c.terms],
+            terms=[PsdTerm(t.var, realify(t.left), t.sign) for t in c.terms],
             name=c.name,
         )
         for c in p.psd_constraints

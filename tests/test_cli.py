@@ -86,6 +86,8 @@ class TestValue:
         assert [v["name"] for v in prog["variables"]] == ["P", "Q"]
         assert len(prog["psd_constraints"]) == 1
         assert prog["maximize"] is False
+        terms = prog["psd_constraints"][0]["terms"]
+        assert all(set(t) == {"var", "left", "sign"} and t["sign"] == 1 for t in terms)
 
     def test_dump_sdp_mu(self, tmp_path, capsys):
         path = tmp_path / "gc2.json"
@@ -101,6 +103,11 @@ class TestValue:
         assert prog["variables"][-1] == {"name": "K", "side": 8, "domain": "off-diagonal",
                                          "split": 4}
         assert len(prog["psd_constraints"]) == 2 and not prog["maximize"]
+        terms = [(c["name"], t) for c in prog["psd_constraints"] for t in c["terms"]]
+        assert all(set(t) == {"var", "left", "sign"} for _, t in terms)
+        # -K in the plain block is the only negative term
+        assert [(name, t["var"]) for name, t in terms if t["sign"] == -1] == [("plain-block", "K")]
+        assert all(t["sign"] == 1 for _, t in terms if t["sign"] != -1)
 
     @pytest.mark.parametrize("argv", [
         ["value", "--which", "V"],

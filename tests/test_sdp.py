@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,19 +12,19 @@ from conftest import random_game
 
 def identity_terms(var, side):
     """Terms placing the variable itself into a block: X >= 0."""
-    eye = np.eye(side)
-    return [sdp.PsdTerm(var, eye, eye)]
+    return [sdp.PsdTerm(var, np.eye(side))]
 
 
 def scalar_times_identity_terms(var, side):
     """Place t * I_side for a 1x1 variable t."""
-    cols = [np.zeros((side, 1)) for _ in range(side)]
-    terms = []
-    for k in range(side):
-        e = np.zeros((side, 1))
-        e[k, 0] = 1.0
-        terms.append(sdp.PsdTerm(var, e, e))
-    return terms
+    return [sdp.PsdTerm(var, e[:, None]) for e in np.eye(side)]
+
+
+def polarized_terms(var, b, c):
+    """Terms for the Hermitian-valued b X c^dag + c X b^dag, by polarization:
+    ((b + c) X (b + c)^dag - (b - c) X (b - c)^dag) / 2."""
+    r = 1.0 / np.sqrt(2.0)
+    return [sdp.PsdTerm(var, r * (b + c)), sdp.PsdTerm(var, r * (b - c), -1)]
 
 
 def lambda_max_problem(c):
@@ -137,8 +139,8 @@ class TestStatuses:
             objective={"y": np.array([[1.0]])},
             psd_constraints=[sdp.PsdConstraint(
                 np.diag([-1.0, 0.0]),
-                [sdp.PsdTerm("y", np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]])),
-                 sdp.PsdTerm("y", np.array([[0.0], [1.0]]), np.array([[0.0], [-1.0]]))],
+                [sdp.PsdTerm("y", np.array([[1.0], [0.0]])),
+                 sdp.PsdTerm("y", np.array([[0.0], [1.0]]), -1)],
             )],
         )
         sol = sdp.solve(p)
@@ -151,7 +153,7 @@ class TestStatuses:
             variables=[sdp.SdpVariable("y", 1)],
             objective={"y": np.array([[1.0]])},
             psd_constraints=[sdp.PsdConstraint(
-                np.zeros((1, 1)), [sdp.PsdTerm("y", np.eye(1), np.eye(1))])],
+                np.zeros((1, 1)), [sdp.PsdTerm("y", np.eye(1))])],
         )
         sol = sdp.solve(p)
         assert sol.status != "optimal"
@@ -202,25 +204,25 @@ class TestStatuses:
 
 
 class TestValidation:
-    def test_non_hermitian_block_rejected(self):
-        bad = sdp.SdpProblem(
-            variables=[sdp.SdpVariable("X", 2)],
-            objective={"X": np.eye(2)},
-            psd_constraints=[sdp.PsdConstraint(
-                np.zeros((2, 2)),
-                [sdp.PsdTerm("X", np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))])],
-        )
-        with pytest.raises(sdp.SdpError):
-            sdp.solve(bad)
+    @pytest.mark.parametrize("sign", [0.0, 2.0, np.eye(2)], ids=["0.0", "2.0", "matrix"])
+    def test_bad_sign_rejected(self, sign):
+        # a matrix is what a right factor left in the third slot becomes
+        p = lambda_max_problem(np.diag([1.0, 2.0]))
+        p.psd_constraints[0].terms[1].sign = sign
+        with pytest.raises(sdp.SdpError, match="term for 't' in block 0 .*sign"):
+            sdp.solve(p)
 
-    def test_map_needs_hermitian_values_on_its_domain_only(self):
-        # X -> i X_00 vanishes on off-diagonal X, not on Hermitian X
-        p = real_only_program()
-        sol = sdp.solve(p)
-        assert sol.status == "optimal"
-        assert sol.primal_value == pytest.approx(2.0, abs=1e-6)
-        p.variables[0] = sdp.SdpVariable("X", 2)
-        with pytest.raises(sdp.SdpError, match="not Hermitian-valued"):
+    def test_repeated_variable_name_rejected(self):
+        # a second t would take the constraint's terms and leave the first dangling
+        p = lambda_max_problem(np.diag([1.0, 2.0]))
+        p.variables.append(sdp.SdpVariable("t", 1))
+        with pytest.raises(sdp.SdpError, match="'t' is declared twice"):
+            sdp.solve(p)
+
+    def test_constant_that_is_not_a_matrix_rejected(self):
+        p = lambda_max_problem(np.diag([1.0, 2.0]))
+        p.psd_constraints.append(sdp.PsdConstraint(np.float64(1.0)))
+        with pytest.raises(sdp.SdpError, match="block 1 must be square"):
             sdp.solve(p)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -254,6 +256,9 @@ class TestValidation:
         assert set(obj) == {"maximize", "variables", "objective", "psd_constraints"}
         assert obj["variables"][0]["side"] == 1
         assert obj["psd_constraints"][0]["terms"][0]["var"] == "t"
+        # a numpy integer sign serializes as a plain int
+        p.psd_constraints[0].terms[0].sign = np.int64(-1)
+        assert json.loads(json.dumps(p.to_json()))["psd_constraints"][0]["terms"][0]["sign"] == -1
 
 
 class TestHermitianData:
@@ -269,6 +274,23 @@ class TestHermitianData:
         [x] = sol.dual_blocks
         assert np.allclose(x, x.conj().T)
 
+    def test_real_only_program_optimal(self):
+        sol = sdp.solve(real_only_program())
+        assert sol.status == "optimal"
+        assert sol.primal_value == pytest.approx(2.0, abs=1e-6)
+
+    def test_polarized_terms_apply(self):
+        rng = np.random.default_rng(39)
+        b, c = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)) for _ in range(2))
+        lmi = sdp._compile(sdp.SdpProblem(
+            variables=[sdp.SdpVariable("Y", 2)], objective={},
+            psd_constraints=[sdp.PsdConstraint(np.zeros((4, 4)), polarized_terms("Y", b, c))]))
+        z = rng.standard_normal(lmi.g.size)
+        y = lmi.variable(z, 0)
+        want = b @ y @ c.conj().T + c @ y @ b.conj().T
+        [got] = lmi.apply(z)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 def mixed_program(rng):
     """A Hermitian X of side 3 beside a Hermitian Y of side 2 in complex blocks."""
@@ -280,25 +302,23 @@ def mixed_program(rng):
         objective={"X": random_hermitian(3, rng), "Y": random_hermitian(2, rng)},
         psd_constraints=[
             sdp.PsdConstraint(np.eye(3), identity_terms("X", 3)),
-            sdp.PsdConstraint(np.eye(4), [sdp.PsdTerm("X", a, a), sdp.PsdTerm("Y", b, b),
-                                          sdp.PsdTerm("Y", b, c), sdp.PsdTerm("Y", c, b)]),
+            sdp.PsdConstraint(np.eye(4), [sdp.PsdTerm("X", a), sdp.PsdTerm("Y", b)]
+                              + polarized_terms("Y", b, c)),
         ],
     )
 
 
 def real_only_program():
     """max Re tr([[0,1],[1,0]] X) over an off-diagonal X (side 2, split 1)
-    s.t. I + X >= 0 and 1 + X_01 + X_10 + i X_00 >= 0, with optimum 2: the
-    second map is real only where X_00 = 0, so it is Hermitian-valued on the
-    off-diagonal domain and not on Hermitian inputs."""
+    s.t. I + X >= 0 and 1 + X_01 + X_10 >= 0, with optimum 2; the second
+    block is polarized, so one of its terms is negative."""
     e0, e1 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable("X", 2, sdp.OFF_DIAGONAL, split=1)],
         objective={"X": np.array([[0.0, 1.0], [1.0, 0.0]])},
         psd_constraints=[
             sdp.PsdConstraint(np.eye(2), identity_terms("X", 2)),
-            sdp.PsdConstraint(np.eye(1), [sdp.PsdTerm("X", e0, e1), sdp.PsdTerm("X", e1, e0),
-                                          sdp.PsdTerm("X", 1j * e0, e0)]),
+            sdp.PsdConstraint(np.eye(1), polarized_terms("X", e0, e1)),
         ],
     )
 
@@ -362,12 +382,12 @@ class TestBasisMap:
 
 
 def dense_operator(problem):
-    """G_cj = sum_t A_t H_j B_t^dag over the terms of H_j's variable: one list
-    of blocks c per full parameter j."""
+    """G_cj = sum_t s_t A_t H_j A_t^dag over the terms of H_j's variable: one
+    list of blocks c per full parameter j."""
     gmats = []
     for var in problem.variables:
         for h in dense_basis(sdp.basis_map(var)):
-            gmats.append([sum((t.left @ h @ t.right.conj().T for t in con.terms
+            gmats.append([sum((t.sign * t.left @ h @ t.left.conj().T for t in con.terms
                                if t.var == var.name), np.zeros(con.constant.shape))
                           for con in problem.psd_constraints])
     return gmats
@@ -402,8 +422,8 @@ class TestSchurAssembly:
 
 class TestBlockOperator:
     # mixed sides in one block ("mixed": X of side 3 beside Y of side 2), one
-    # variable in two blocks ("mu"'s K), a map Hermitian-valued on off-diagonal
-    # inputs only ("real-only")
+    # variable in two blocks ("mu"'s K), an off-diagonal variable with a
+    # negative term ("real-only")
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_apply_matches_dense_reference(self, name):
         problem = schur_programs()[name]
