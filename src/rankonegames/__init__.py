@@ -21,6 +21,7 @@ from .sdp import SdpProblem, SdpSolution, solve
 from .strategies import (
     EntangledStrategy,
     OneWayStrategy,
+    identity_strategy,
     named_strategy,
     seesaw_lower_bound,
     win_prob_entangled,

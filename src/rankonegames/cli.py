@@ -231,17 +231,18 @@ def cmd_value(args) -> int:
 
 def _strategy_for(args, g):
     name = args.strategy
+    if args.ancilla is not None and name != "identity":
+        raise UsageError("--ancilla applies only to --strategy identity")
     if name == "identity":
         d_ap, d_bp = 1, 1
-        if args.ancilla:
+        if args.ancilla is not None:
             try:
                 d_ap, d_bp = (int(x) for x in args.ancilla.split(","))
             except ValueError as exc:
                 raise UsageError("--ancilla expects two integers a,b") from exc
-        phi = np.zeros(d_ap * d_bp, dtype=complex)
-        phi[0] = 1.0
-        return st.EntangledStrategy(d_ap, d_bp, np.eye(g.d_a * d_ap, dtype=complex),
-                                    np.eye(g.d_b * d_bp, dtype=complex), phi)
+            if min(d_ap, d_bp) < 1:
+                raise UsageError(f"--ancilla dimensions must be at least 1, not {args.ancilla}")
+        return st.identity_strategy(g.d_a, g.d_b, d_ap, d_bp)
     if name in ("gc-oneway-flip", "gcr-oneway"):
         return st.named_strategy(name, g.d_a)
     if name == "gcr2-swap":
@@ -258,14 +259,12 @@ def _strategy_for(args, g):
 
 
 def cmd_simulate(args) -> int:
-    g, p, _ = _load_game(args.game)
-    if p is None:
-        p = games.purify(g)
+    g, _, _ = _load_game(args.game)
     s = _strategy_for(args, g)
     if isinstance(s, st.EntangledStrategy):
-        w = st.win_prob_entangled(p, s)
+        w = st.win_prob_entangled(g, s)
     else:
-        w = st.win_prob_oneway(p, s)
+        w = st.win_prob_oneway(g, s)
     report = {"game": args.game, "strategy_name": args.strategy, "win_prob": w,
               "strategy": st.strategy_to_json(s)}
     _write_output(dump_json(report), args.out)
@@ -334,20 +333,18 @@ def _rows_gaps(n_max: int, tol: float) -> list[ReproductionRow]:
 def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
     rows = []
     for n in range(2, n_max + 1):
-        g, p = games.game_gcr(n)
+        g, _ = games.game_gcr(n)
         qow = values.qow_value(g, tol=tol).value
         closed = 0.25 * (1.0 + 1.0 / n) ** 2
         rows.append(ReproductionRow("gcr", n, "omega_qow", closed, qow, 1e-5))
         rows.append(ReproductionRow(
             "gcr", n, "win_identity", 1.0 / n ** 2,
-            st.win_prob_entangled(p, st.EntangledStrategy(
-                1, 1, np.eye(n, dtype=complex), np.eye(n, dtype=complex),
-                np.array([1.0 + 0j]))), 1e-12))
+            st.win_prob_entangled(g, st.identity_strategy(n, n)), 1e-12))
         rows.append(ReproductionRow(
             "gcr", n, "win_oneway_flip", closed,
-            st.win_prob_oneway(p, st.named_strategy("gcr-oneway", n)), 1e-12))
-        p2 = games.tensor_purifications(p, p)
-        swap_win = st.win_prob_entangled(p2, st.named_strategy("gcr2-swap", n))
+            st.win_prob_oneway(g, st.named_strategy("gcr-oneway", n)), 1e-12))
+        g2 = games.game_power(g, 2)
+        swap_win = st.win_prob_entangled(g2, st.named_strategy("gcr2-swap", n))
         omega2 = (1.0 / (4 * n ** 2)) * (1.0 + 1.0 / n) ** 2
         rows.append(ReproductionRow("gcr^2", n, "win_double_swap", omega2, swap_win, 1e-12))
         ratio = swap_win / (1.0 / n ** 2) ** 2
@@ -357,7 +354,6 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
         rows.append(ReproductionRow(
             "gcr^2", n, "pr_ratio_deficit_vs_quarter_n2", 0.0,
             max(0.0, n ** 2 / 4.0 - ratio), 1e-12))
-        g2 = games.game_power(g, 2)
         res = st.seesaw_lower_bound(g2, 1, 1, restarts=8, iters=120, seed=seed)
         rows.append(ReproductionRow(
             "gcr^2", n, "seesaw_lower_deficit", 0.0,

@@ -96,9 +96,10 @@ class SchurMatrix:
 
 
 def from_states(p: GamePurification) -> RankOneGame:
-    """The game tr_C |psi><gamma| of a purification."""
-    outer = np.outer(p.psi, p.gamma.conj())
-    m = la.partial_trace(outer, p.dims, {2})
+    """The game tr_C |psi><gamma| = Psi Gamma^dagger of a purification, with
+    Psi[(a,b),c] = psi[a,b,c] and Gamma the same for gamma."""
+    d_ab = p.d_a * p.d_b
+    m = p.psi.reshape(d_ab, p.d_c) @ p.gamma.reshape(d_ab, p.d_c).conj().T
     return RankOneGame(p.d_a, p.d_b, m)
 
 

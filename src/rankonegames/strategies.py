@@ -1,9 +1,12 @@
-"""Player strategies against a game purification, and a see-saw heuristic.
+"""Player strategies valued exactly on the game matrix M, and a see-saw heuristic.
 
 Entangled play: Alice and Bob hold ancillas A', B' in a shared state phi
 and apply unitaries U on (A, A') and V on (B, B'); the referee projects
 onto gamma.  One-way play: a single message register A' starts in |0>,
-Alice acts on (A, A'), then Bob acts on (B, A').
+Alice acts on (A, A'), then Bob acts on (B, A').  Since
+M = tr_C |psi><gamma|, the accepted branch left on the ancillas is
+tr_AB[(U (x) V)(M (x) |phi>)], or tr_AB[V U (M (x) |0>)] one-way, so no
+purification is needed.
 
 The see-saw alternates exactly-solvable subproblems (top singular pair of
 the contracted operator, then a polar update of each unitary) and returns
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .games import GamePurification, RankOneGame, purify
+from .games import RankOneGame
 
 UNITARITY_TOL = 1e-9
 PROB_SLACK = 1e-12
@@ -66,40 +69,44 @@ class OneWayStrategy:
         return self
 
 
-def win_prob_entangled(p: GamePurification, s: EntangledStrategy) -> float:
-    """Probability that the referee accepts under entangled play."""
-    s.validated(p.d_a, p.d_b)
-    psi = p.psi.reshape(p.d_a, p.d_b, p.d_c)
-    gamma = p.gamma.reshape(p.d_a, p.d_b, p.d_c)
+def _accepted(out: np.ndarray) -> float:
+    """The squared norm of the referee's accepted branch, clamped to 1 + PROB_SLACK."""
+    w = float(np.linalg.norm(out) ** 2)
+    if w > 1.0 + 1e-9:
+        raise StrategyError(f"win probability {w} exceeds one; inconsistent inputs")
+    return min(w, 1.0 + PROB_SLACK)
+
+
+def win_prob_entangled(g: RankOneGame, s: EntangledStrategy) -> float:
+    """Probability that the referee accepts under entangled play:
+    ||tr_AB[(U (x) V)(M (x) |phi>)]||^2."""
+    s.validated(g.d_a, g.d_b)
+    # M[(i,k),(a,b)] = sum_c psi[i,k,c] conj(gamma[a,b,c]); U[(a,x),(i,u)], V[(b,y),(k,v)]
+    m4 = g.m.reshape(g.d_a, g.d_b, g.d_a, g.d_b)
     phi = np.asarray(s.phi, dtype=complex).reshape(s.d_ap, s.d_bp)
-    u4 = np.asarray(s.u, dtype=complex).reshape(p.d_a, s.d_ap, p.d_a, s.d_ap)
-    v4 = np.asarray(s.v, dtype=complex).reshape(p.d_b, s.d_bp, p.d_b, s.d_bp)
-    state = np.einsum("abc,xy->abcxy", psi, phi)
-    state = np.einsum("auiv,ibcvy->abcuy", u4, state)
-    state = np.einsum("bwjz,ajcxz->abcxw", v4, state)
-    out = np.einsum("abc,abcxy->xy", gamma.conj(), state)
-    w = float(np.linalg.norm(out) ** 2)
-    if w > 1.0 + 1e-9:
-        raise StrategyError(f"win probability {w} exceeds one; inconsistent inputs")
-    return min(w, 1.0 + PROB_SLACK)
+    u4 = np.asarray(s.u, dtype=complex).reshape(g.d_a, s.d_ap, g.d_a, s.d_ap)
+    v4 = np.asarray(s.v, dtype=complex).reshape(g.d_b, s.d_bp, g.d_b, s.d_bp)
+    um = np.einsum("axiu,ikab->xukb", u4, m4)
+    return _accepted(np.einsum("xukb,bykv,uv->xy", um, v4, phi))
 
 
-def win_prob_oneway(p: GamePurification, s: OneWayStrategy) -> float:
-    """Probability of acceptance when Alice may send register A' to Bob."""
-    s.validated(p.d_a, p.d_b)
-    psi = p.psi.reshape(p.d_a, p.d_b, p.d_c)
-    gamma = p.gamma.reshape(p.d_a, p.d_b, p.d_c)
-    u4 = np.asarray(s.u, dtype=complex).reshape(p.d_a, s.d_ap, p.d_a, s.d_ap)
-    v4 = np.asarray(s.v, dtype=complex).reshape(p.d_b, s.d_ap, p.d_b, s.d_ap)
-    state = np.zeros((p.d_a, p.d_b, p.d_c, s.d_ap), dtype=complex)
-    state[:, :, :, 0] = psi
-    state = np.einsum("auiv,ibcv->abcu", u4, state)
-    state = np.einsum("bwjz,ajcz->abcw", v4, state)
-    out = np.einsum("abc,abcx->x", gamma.conj(), state)
-    w = float(np.linalg.norm(out) ** 2)
-    if w > 1.0 + 1e-9:
-        raise StrategyError(f"win probability {w} exceeds one; inconsistent inputs")
-    return min(w, 1.0 + PROB_SLACK)
+def win_prob_oneway(g: RankOneGame, s: OneWayStrategy) -> float:
+    """Probability of acceptance when Alice may send register A' to Bob:
+    ||tr_AB[V U (M (x) |0>)]||^2."""
+    s.validated(g.d_a, g.d_b)
+    m4 = g.m.reshape(g.d_a, g.d_b, g.d_a, g.d_b)
+    u4 = np.asarray(s.u, dtype=complex).reshape(g.d_a, s.d_ap, g.d_a, s.d_ap)
+    v4 = np.asarray(s.v, dtype=complex).reshape(g.d_b, s.d_ap, g.d_b, s.d_ap)
+    um = np.einsum("azi,ikab->zkb", u4[:, :, :, 0], m4)
+    return _accepted(np.einsum("zkb,bwkz->w", um, v4))
+
+
+def identity_strategy(d_a: int, d_b: int, d_ap: int = 1, d_bp: int = 1) -> EntangledStrategy:
+    """Do nothing: identity unitaries, with phi the first basis vector of A' (x) B'."""
+    phi = np.zeros(d_ap * d_bp, dtype=complex)
+    phi[0] = 1.0
+    return EntangledStrategy(d_ap, d_bp, np.eye(d_a * d_ap, dtype=complex),
+                             np.eye(d_b * d_bp, dtype=complex), phi)
 
 
 def swap_unitary(n: int) -> np.ndarray:
@@ -125,8 +132,7 @@ def named_strategy(name: str, n: int):
     if n < 1:
         raise StrategyError("n must be at least 1")
     if name == "identity":
-        return EntangledStrategy(1, 1, np.eye(n, dtype=complex), np.eye(n, dtype=complex),
-                                 np.array([1.0 + 0j]))
+        return identity_strategy(n, n)
     if name in ("gc-oneway-flip", "gcr-oneway"):
         return OneWayStrategy(n, swap_unitary(n), swap_unitary(n))
     if name == "gcr2-swap":
@@ -228,8 +234,7 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
     objective is nondecreasing.  A restart stops once its objective has
     gained at most 1e-9 (relative, above 1) over ten iterations, or after
     `iters` iterations.  Each restart's value re-evaluates its strategy
-    through win_prob_entangled on purify(g), so it is a certified lower
-    bound.
+    exactly through win_prob_entangled, so it is a certified lower bound.
 
     Restart 0 runs first and alone, from identity unitaries, and draws
     nothing from the seed.  If a target is given and restart 0's value is
@@ -250,11 +255,10 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
         raise StrategyError("restarts and iters must be at least 1")
     if seed < 0:
         raise StrategyError(f"seed must be non-negative, not {seed}")
-    p = purify(g)
     strats, traces, converged = _ascend(
         g, d_ap, d_bp, np.eye(g.d_a * d_ap, dtype=complex)[None],
         np.eye(g.d_b * d_bp, dtype=complex)[None], iters)
-    wins = [win_prob_entangled(p, strats[0])]
+    wins = [win_prob_entangled(g, strats[0])]
     if restarts > 1 and (target is None or wins[0] < target):
         rng = np.random.default_rng(seed)
         us, vs = [], []
@@ -266,7 +270,7 @@ def seesaw_lower_bound(g: RankOneGame, d_ap: int | None = None, d_bp: int | None
         strats += more_strats
         traces += more_traces
         converged += more_converged
-        wins += [win_prob_entangled(p, s) for s in more_strats]
+        wins += [win_prob_entangled(g, s) for s in more_strats]
     wins = np.array(wins)
     best = wins.max()
     # restarts that reach the same optimum differ by rounding noise

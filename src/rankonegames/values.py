@@ -35,8 +35,8 @@ import numpy as np
 
 from . import linalg as la
 from . import sdp
-from .games import RankOneGame, SchurMatrix, purify, schur_game
-from .strategies import EntangledStrategy, seesaw_lower_bound, win_prob_entangled
+from .games import RankOneGame, SchurMatrix, schur_game
+from .strategies import identity_strategy, seesaw_lower_bound, win_prob_entangled
 
 DEFAULT_SDP_TOL = 1e-7
 
@@ -207,7 +207,6 @@ def _split_witness(z: np.ndarray, d_a: int, d_b: int):
 @dataclass
 class SdpValue:
     value: float
-    achieved: float
     bound: float
     witness: HaagerupWitness
     solution: sdp.SdpSolution
@@ -238,7 +237,7 @@ def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
     _require_valid(witness, tol, "one-way witness")
     achieved = max(sol.dual_value, 0.0)
     bound = max(sol.primal_value, 0.0)
-    return SdpValue(achieved ** 2, achieved ** 2, bound ** 2, witness, sol)
+    return SdpValue(achieved ** 2, bound ** 2, witness, sol)
 
 
 def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
@@ -259,7 +258,7 @@ def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
     # matches the returned u only to the dual residual
     achieved = max(float(np.sum(g.m * u).real), 0.0)
     bound = max(sol.primal_value, 0.0)
-    return SdpValue(achieved, achieved, bound, witness, sol)
+    return SdpValue(achieved, bound, witness, sol)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -301,8 +300,6 @@ class ValueReport:
 @dataclass
 class SeesawConfig:
     enabled: bool = True
-    d_ap: int | None = None
-    d_bp: int | None = None
     restarts: int = 20
     iters: int = 200
     seed: int = 0
@@ -326,22 +323,19 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     v = maximal_value(g)
     qres = qow_value(g, tol=tol)
     mres = mu_norm(g, tol=tol)
-    qow_ub = max(qres.achieved, qres.bound)
-    mu_lo = min(mres.achieved, mres.bound)
-    mu_ub = max(mres.achieved, mres.bound)
+    qow_ub = max(qres.value, qres.bound)
+    mu_lo = min(mres.value, mres.bound)
+    mu_ub = max(mres.value, mres.bound)
     upper_candidates = [("mu^2", mu_ub ** 2), ("qow", qow_ub), ("V", v)]
     up_prov, up = min(upper_candidates, key=lambda kv: kv[1])
 
-    p = purify(g)
-    ident = EntangledStrategy(1, 1, np.eye(g.d_a, dtype=complex),
-                              np.eye(g.d_b, dtype=complex), np.array([1.0 + 0j]))
-    identity_value = win_prob_entangled(p, ident)
+    identity_value = win_prob_entangled(g, identity_strategy(g.d_a, g.d_b))
 
     seesaw_value = None
     seesaw_meta = {}
     lower_candidates = [("identity", identity_value), ("mu/4", mu_lo ** 2 / 4.0)]
     if cfg.enabled:
-        res = seesaw_lower_bound(g, cfg.d_ap, cfg.d_bp, restarts=cfg.restarts,
+        res = seesaw_lower_bound(g, restarts=cfg.restarts,
                                  iters=cfg.iters, seed=cfg.seed,
                                  target=up - tol * max(1.0, up))
         seesaw_value = res.value
@@ -494,8 +488,8 @@ def schur_equivalence_check(phi: SchurMatrix, tol: float = 1e-5,
     s_val, _ = schur_s_search(phi, seed=seed)
     s_val = min(s_val, la.trace_norm(phi.phi))
     mres = mu_norm(g, tol=sdp_tol)
-    qow_ub = max(qres.achieved, qres.bound)
-    mu_lo = min(mres.achieved, mres.bound)
+    qow_ub = max(qres.value, qres.bound)
+    mu_lo = min(mres.value, mres.bound)
     report = SchurEquivalenceReport(
         n=phi.n,
         v=maximal_value(g),
@@ -504,7 +498,7 @@ def schur_equivalence_check(phi: SchurMatrix, tol: float = 1e-5,
         s_upper=s_val,
         mu=mres.value,
         mu_bound=mres.bound,
-        qow_below_s_squared=bool(min(qres.achieved, qres.bound) <= s_val ** 2 + tol),
+        qow_below_s_squared=bool(min(qres.value, qres.bound) <= s_val ** 2 + tol),
         mu_quarter_below_qow=bool(mu_lo ** 2 / 4.0 <= qow_ub + tol),
     )
     if not report.qow_below_s_squared or not report.mu_quarter_below_qow:

@@ -14,7 +14,10 @@ None of these is used by a command or a value function:
   split dual the package solves;
 - ``realify`` and ``embed_complex`` turn a complex program into the
   equivalent one with real data on variables of twice the side, so the
-  solver can be run on both.
+  solver can be run on both;
+- ``win_prob_entangled`` and ``win_prob_oneway`` play a strategy on a game
+  purification (psi, gamma) and project onto gamma, where the package
+  contracts the game matrix M instead.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ import numpy as np
 from rankonegames import linalg as la
 from rankonegames import sdp
 from rankonegames.sdp import PsdConstraint, PsdTerm, SdpProblem, SdpVariable
-from rankonegames.games import RankOneGame
+from rankonegames.games import GamePurification, RankOneGame
+from rankonegames.strategies import (
+    PROB_SLACK,
+    EntangledStrategy,
+    OneWayStrategy,
+    StrategyError,
+)
 from rankonegames.values import (
     DEFAULT_SDP_TOL,
     _cap_rows,
@@ -307,3 +316,41 @@ def embed_complex(p: SdpProblem) -> SdpProblem:
         for c in p.psd_constraints
     ]
     return SdpProblem(variables, objective, constraints, p.maximize)
+
+
+# -- strategies played on a purification -----------------------------------------------
+
+def win_prob_entangled(p: GamePurification, s: EntangledStrategy) -> float:
+    """Probability that the referee accepts under entangled play."""
+    s.validated(p.d_a, p.d_b)
+    psi = p.psi.reshape(p.d_a, p.d_b, p.d_c)
+    gamma = p.gamma.reshape(p.d_a, p.d_b, p.d_c)
+    phi = np.asarray(s.phi, dtype=complex).reshape(s.d_ap, s.d_bp)
+    u4 = np.asarray(s.u, dtype=complex).reshape(p.d_a, s.d_ap, p.d_a, s.d_ap)
+    v4 = np.asarray(s.v, dtype=complex).reshape(p.d_b, s.d_bp, p.d_b, s.d_bp)
+    state = np.einsum("abc,xy->abcxy", psi, phi)
+    state = np.einsum("auiv,ibcvy->abcuy", u4, state)
+    state = np.einsum("bwjz,ajcxz->abcxw", v4, state)
+    out = np.einsum("abc,abcxy->xy", gamma.conj(), state)
+    w = float(np.linalg.norm(out) ** 2)
+    if w > 1.0 + 1e-9:
+        raise StrategyError(f"win probability {w} exceeds one; inconsistent inputs")
+    return min(w, 1.0 + PROB_SLACK)
+
+
+def win_prob_oneway(p: GamePurification, s: OneWayStrategy) -> float:
+    """Probability of acceptance when Alice may send register A' to Bob."""
+    s.validated(p.d_a, p.d_b)
+    psi = p.psi.reshape(p.d_a, p.d_b, p.d_c)
+    gamma = p.gamma.reshape(p.d_a, p.d_b, p.d_c)
+    u4 = np.asarray(s.u, dtype=complex).reshape(p.d_a, s.d_ap, p.d_a, s.d_ap)
+    v4 = np.asarray(s.v, dtype=complex).reshape(p.d_b, s.d_ap, p.d_b, s.d_ap)
+    state = np.zeros((p.d_a, p.d_b, p.d_c, s.d_ap), dtype=complex)
+    state[:, :, :, 0] = psi
+    state = np.einsum("auiv,ibcv->abcu", u4, state)
+    state = np.einsum("bwjz,ajcz->abcw", v4, state)
+    out = np.einsum("abc,abcx->x", gamma.conj(), state)
+    w = float(np.linalg.norm(out) ** 2)
+    if w > 1.0 + 1e-9:
+        raise StrategyError(f"win probability {w} exceeds one; inconsistent inputs")
+    return min(w, 1.0 + PROB_SLACK)

@@ -59,9 +59,9 @@ def test_criterion_04_grothendieck_sandwich(sdp_cache):
 
 def test_criterion_05_parallel_repetition_failure_certificate():
     for n in range(2, 6):
-        _, p = games.game_gcr(n)
-        p2 = games.tensor_purifications(p, p)
-        win = st.win_prob_entangled(p2, st.named_strategy("gcr2-swap", n))
+        g, _ = games.game_gcr(n)
+        g2 = games.game_power(g, 2)
+        win = st.win_prob_entangled(g2, st.named_strategy("gcr2-swap", n))
         want = (1.0 / (4 * n ** 2)) * (1.0 + 1.0 / n) ** 2
         assert abs(win - want) <= 1e-12, (n, win)
         ratio = win / (1.0 / n ** 2) ** 2
@@ -72,11 +72,10 @@ def test_criterion_05_parallel_repetition_failure_certificate():
 
 def test_criterion_06_protocol_exactness():
     for n in range(2, 6):
-        _, p = games.game_gc(n)
-        assert abs(st.win_prob_oneway(p, st.named_strategy("gc-oneway-flip", n)) - 1.0) <= 1e-12
-        _, q = games.game_gcr(n)
-        ident = st.EntangledStrategy(1, 1, np.eye(n, dtype=complex),
-                                     np.eye(n, dtype=complex), np.array([1.0 + 0j]))
+        g, _ = games.game_gc(n)
+        assert abs(st.win_prob_oneway(g, st.named_strategy("gc-oneway-flip", n)) - 1.0) <= 1e-12
+        q, _ = games.game_gcr(n)
+        ident = st.identity_strategy(n, n)
         assert abs(st.win_prob_entangled(q, ident) - 1.0 / n ** 2) <= 1e-12
     report(6, "flip protocol wins G_C with probability 1; identity wins G_C+R with 1/n^2")
 

@@ -171,6 +171,25 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--game", str(path), "--strategy", "bogus")
         assert code == 2
 
+    def test_game_without_purification(self, tmp_path, capsys):
+        g, _ = games.game_gcr(2)
+        path = tmp_path / "gcr2.json"
+        path.write_text(cli.dump_json(games.game_to_json(g)))
+        code, out, _ = run(capsys, "simulate", "--game", str(path), "--strategy", "gcr-oneway")
+        assert code == 0
+        assert json.loads(out)["win_prob"] == pytest.approx(0.25 * 1.5 ** 2, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy,ancilla", [
+        ("identity", "0,1"), ("identity", "-1,2"), ("identity", "2"), ("identity", ""),
+        ("gc-oneway-flip", "2,2"), ("gcr-oneway", "1,1")])
+    def test_bad_ancilla_is_usage_error(self, strategy, ancilla, tmp_path, capsys):
+        path = tmp_path / "gc2.json"
+        run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
+        code, out, err = run(capsys, "simulate", "--game", str(path), "--strategy", strategy,
+                             f"--ancilla={ancilla}")
+        assert code == 1
+        assert err.startswith("usage error:") and out == ""
+
 
 class TestRepeat:
     def test_k1_identity(self, tmp_path, capsys):

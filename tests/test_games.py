@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ class TestFromStates:
         expected[0, 0] = 1.0 / np.sqrt(2)
         assert np.allclose(g.m, expected)
         assert la.trace_norm(g.m) == pytest.approx(1.0 / np.sqrt(2), abs=1e-12)
+
+
+    def test_squared_gcr3_traces_c_without_the_outer_product(self):
+        # |psi><gamma| on (A B C) of gcr3 squared would be 2916^2 complex entries, 136 MB
+        g, p = games.game_gcr(3)
+        p2 = games.purification_power(p, 2)
+        tracemalloc.start()
+        try:
+            m = games.from_states(p2).m
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert np.allclose(m, games.game_power(g, 2).m, atol=1e-14)
 
 
 class TestPurify:

@@ -3,32 +3,33 @@ import pytest
 
 from rankonegames import games, linalg as la, strategies as st
 
+import oracles
 from conftest import random_game
 
 
 def identity_strategy(d_a, d_b):
-    return st.EntangledStrategy(1, 1, np.eye(d_a, dtype=complex),
-                                np.eye(d_b, dtype=complex), np.array([1.0 + 0j]))
+    return st.identity_strategy(d_a, d_b)
 
 
 class TestWinProbEntangled:
     def test_identity_on_equal_states(self):
         _, p = games.game_gc(2)
         q = games.GamePurification(p.d_a, p.d_b, p.d_c, p.psi, p.psi)
-        assert st.win_prob_entangled(q, identity_strategy(2, 2)) == pytest.approx(1.0, abs=1e-12)
+        w = st.win_prob_entangled(games.from_states(q), identity_strategy(2, 2))
+        assert w == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_identity_on_gcr(self, n):
-        _, p = games.game_gcr(n)
-        w = st.win_prob_entangled(p, identity_strategy(n, n))
+        g, _ = games.game_gcr(n)
+        w = st.win_prob_entangled(g, identity_strategy(n, n))
         assert w == pytest.approx(1.0 / n ** 2, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_double_swap_on_squared_gcr(self, n):
-        _, p = games.game_gcr(n)
-        p2 = games.tensor_purifications(p, p)
+        g, _ = games.game_gcr(n)
+        g2 = games.game_power(g, 2)
         s = st.named_strategy("gcr2-swap", n)
-        w = st.win_prob_entangled(p2, s)
+        w = st.win_prob_entangled(g2, s)
         expected = (1.0 / (4 * n ** 2)) * (1.0 + 1.0 / n) ** 2
         assert w == pytest.approx(expected, abs=1e-12)
 
@@ -36,65 +37,102 @@ class TestWinProbEntangled:
         rng = np.random.default_rng(0)
         g = games.RankOneGame(2, 2, _random_budget_matrix(rng))
         p = games.purify(g)
-        w = st.win_prob_entangled(p, identity_strategy(2, 2))
+        w = st.win_prob_entangled(g, identity_strategy(2, 2))
         assert w == pytest.approx(abs(np.vdot(p.gamma, p.psi)) ** 2, abs=1e-12)
 
     def test_phase_invariance(self):
-        _, p = games.game_gcr(2)
+        g, p = games.game_gcr(2)
         s = identity_strategy(2, 2)
-        w0 = st.win_prob_entangled(p, s)
+        w0 = st.win_prob_entangled(g, s)
         q = games.GamePurification(p.d_a, p.d_b, p.d_c,
                                    np.exp(1j * 0.7) * p.psi, np.exp(-1j * 0.3) * p.gamma)
         s_phase = st.EntangledStrategy(1, 1, s.u, s.v, np.exp(1j * 1.1) * s.phi)
-        assert st.win_prob_entangled(q, s_phase) == pytest.approx(w0, abs=1e-12)
+        assert st.win_prob_entangled(games.from_states(q), s_phase) == pytest.approx(w0, abs=1e-12)
 
     def test_range_and_unitarity_check(self):
-        _, p = games.game_gc(2)
+        g, _ = games.game_gc(2)
         with pytest.raises(st.StrategyError):
-            st.win_prob_entangled(p, st.EntangledStrategy(
+            st.win_prob_entangled(g, st.EntangledStrategy(
                 1, 1, 2.0 * np.eye(2), np.eye(2), np.array([1.0 + 0j])))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_strategies_within_unit(self, seed):
         rng = np.random.default_rng(seed)
-        g, p = games.game_gcr(2)
+        g, _ = games.game_gcr(2)
         s = st.EntangledStrategy(2, 2, la.random_unitary(4, rng), la.random_unitary(4, rng),
                                  _random_unit(4, rng))
-        w = st.win_prob_entangled(p, s)
+        w = st.win_prob_entangled(g, s)
         assert -1e-15 <= w <= 1.0 + 1e-12
 
 
 class TestWinProbOneway:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_flip_protocol_wins_gc(self, n):
-        _, p = games.game_gc(n)
+        g, _ = games.game_gc(n)
         s = st.named_strategy("gc-oneway-flip", n)
-        assert st.win_prob_oneway(p, s) == pytest.approx(1.0, abs=1e-12)
+        assert st.win_prob_oneway(g, s) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_gcr_oneway_protocol(self, n):
-        _, p = games.game_gcr(n)
+        g, _ = games.game_gcr(n)
         s = st.named_strategy("gcr-oneway", n)
         expected = 0.25 * (1.0 + 1.0 / n) ** 2
-        assert st.win_prob_oneway(p, s) == pytest.approx(expected, abs=1e-12)
+        assert st.win_prob_oneway(g, s) == pytest.approx(expected, abs=1e-12)
 
     def test_identity_oneway_on_equal_states(self):
         _, p = games.game_gc(2)
         q = games.GamePurification(p.d_a, p.d_b, p.d_c, p.psi, p.psi)
         s = st.OneWayStrategy(1, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-        assert st.win_prob_oneway(q, s) == pytest.approx(1.0, abs=1e-12)
+        assert st.win_prob_oneway(games.from_states(q), s) == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_invariance(self):
-        _, p = games.game_gcr(3)
+        g, p = games.game_gcr(3)
         s = st.named_strategy("gcr-oneway", 3)
-        w0 = st.win_prob_oneway(p, s)
+        w0 = st.win_prob_oneway(g, s)
         q = games.GamePurification(p.d_a, p.d_b, p.d_c,
                                    np.exp(1j * 0.4) * p.psi, np.exp(1j * 2.2) * p.gamma)
-        assert st.win_prob_oneway(q, s) == pytest.approx(w0, abs=1e-12)
+        assert st.win_prob_oneway(games.from_states(q), s) == pytest.approx(w0, abs=1e-12)
 
     def test_unknown_name(self):
         with pytest.raises(st.StrategyError):
             st.named_strategy("not-a-protocol", 2)
+
+
+def second_route_case(case):
+    """(game, purification) of one kind: purify(g), a canonical family's own
+    purification, or purify(g) rotated by a random unitary on C."""
+    kind, dims = case.split("-")
+    if kind == "family":
+        return {"gc3": games.game_gc(3), "gr2": games.game_gr(2), "gcr3": games.game_gcr(3),
+                "schur": games.schur_game(games.schur_an_multiplier(1))}[dims]
+    d_a, d_b = (int(d) for d in dims.split("x"))
+    rng = np.random.default_rng(100 * d_a + d_b)
+    g = random_game(d_a, d_b, rng.uniform(0.3, 1.0), rng)
+    p = games.purify(g)
+    if kind == "rotated":
+        w = la.random_unitary(p.d_c, rng)
+        psi, gamma = ((x.reshape(-1, p.d_c) @ w.T).reshape(-1) for x in (p.psi, p.gamma))
+        p = games.GamePurification(d_a, d_b, p.d_c, psi, gamma)
+    return g, p
+
+
+class TestSecondRoute:
+    # the package contracts M; the oracle plays on (psi, gamma) and projects onto gamma
+    @pytest.mark.parametrize("d_ap", [1, 2, 3])
+    @pytest.mark.parametrize("case", [
+        "purify-2x2", "purify-2x3", "purify-3x2", "rotated-2x3", "rotated-3x3",
+        "family-gc3", "family-gr2", "family-gcr3", "family-schur"])
+    def test_matches_purification_route(self, case, d_ap):
+        g, p = second_route_case(case)
+        rng = np.random.default_rng(d_ap)
+        d_bp = 4 - d_ap
+        s = st.EntangledStrategy(d_ap, d_bp, la.random_unitary(g.d_a * d_ap, rng),
+                                 la.random_unitary(g.d_b * d_bp, rng),
+                                 _random_unit(d_ap * d_bp, rng))
+        assert abs(st.win_prob_entangled(g, s) - oracles.win_prob_entangled(p, s)) <= 1e-13
+        t = st.OneWayStrategy(d_ap, la.random_unitary(g.d_a * d_ap, rng),
+                              la.random_unitary(g.d_b * d_ap, rng))
+        assert abs(st.win_prob_oneway(g, t) - oracles.win_prob_oneway(p, t)) <= 1e-13
 
 
 class TestSeesaw:
@@ -154,7 +192,7 @@ def reference_restart(g, d_ap, d_bp, u, v, iters):
         if len(trace) > 10 and trace[-1] - trace[-11] <= 1e-9 * max(1.0, abs(trace[-1])):
             break
     strat = st.EntangledStrategy(d_ap, d_bp, u, v, x / np.linalg.norm(x))
-    return st.win_prob_entangled(games.purify(g), strat)
+    return st.win_prob_entangled(g, strat)
 
 
 def reference_best(g, d_ap, d_bp, restarts, seed, iters):
