@@ -358,16 +358,11 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
         rows.append(ReproductionRow(
             "gcr^2", n, "seesaw_lower_deficit", 0.0,
             max(0.0, omega2 - res.value), 1e-6))
-        if n <= 3:
-            # the squared-game program has block side 2 n^4: 162 at n = 3
-            # (about 0.6 s) and 512 at n = 4 (about 12 s at 180 MB peak), so these
-            # rows stop at n = 3 to keep the table quick; the exact protocol
-            # rows above still certify the failure at every n
-            qow2 = values.qow_value(g2, tol=tol).value
-            rows.append(ReproductionRow(
-                "gcr^2", n, "omega_qow", (closed) ** 2, qow2, 1e-4))
-            rows.append(ReproductionRow(
-                "gcr^2", n, "qow_parallel_repetition_gap", 0.0, abs(qow2 - qow ** 2), 1e-4))
+        qow2 = values.qow_value(g2, tol=tol).value
+        rows.append(ReproductionRow(
+            "gcr^2", n, "omega_qow", closed ** 2, qow2, 1e-4))
+        rows.append(ReproductionRow(
+            "gcr^2", n, "qow_parallel_repetition_gap", 0.0, abs(qow2 - qow ** 2), 1e-4))
     return rows
 
 
@@ -480,7 +475,8 @@ def build_parser() -> _Parser:
     p_repro.add_argument("--suite", required=True, choices=("gaps", "parallel", "schur", "all"))
     p_repro.add_argument("--n-max", dest="n_max", type=int, default=3)
     p_repro.add_argument("--allow-large", action="store_true",
-                         help="allow --n-max above 3 (squared-game SDP rows stop at n=3)")
+                         help="allow --n-max above 3 (the squared-game SDP of the parallel "
+                              "suite has block side 2 n^4: 512 at n=4)")
     common(p_repro)
     p_repro.set_defaults(func=cmd_reproduce)
     return parser

@@ -48,10 +48,6 @@ class RankOneGame:
             if tn > 1.0 + TRACE_NORM_SLACK:
                 raise GameError(f"trace norm {tn} exceeds the unit budget")
 
-    @property
-    def side(self) -> int:
-        return self.d_a * self.d_b
-
 
 @dataclass(frozen=True)
 class GamePurification:
@@ -74,10 +70,6 @@ class GamePurification:
                 raise GameError(f"{name} is not a unit vector")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.d_a, self.d_b, self.d_c)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ per block, and its adjoint reads the same plan backwards.  The Schur
 complement is assembled from the same factors, as in the sparsity
 exploitation of Fujisawa, Kojima & Nakata (Math. Programming 79, 1997):
 one matmul per block for all the products +-A^dagger W A, one per pair of
-variables for their Kronecker sum, and one gather per pair for the basis
+variables for their Kronecker sum, and two gathers per pair for the basis
 change, so no block-sized matrix per parameter is kept.
 Every ``optimal`` exit carries a dual certificate: the returned primal and
 dual values bracket the optimum and their gap is at most the requested
@@ -220,8 +220,8 @@ class _Block:
 
     Term t of the block, of variable v and sign s_t, has A_t and
     B_t^dagger = s_t A_t^dagger padded with zeros to the block's largest
-    variable side D; a map of such terms is Hermitian-valued, as the first
-    entry gather of ``_schur_entries`` needs.  ``scatter``, ``param`` and
+    variable side D; a map of such terms is Hermitian-valued, as the Schur
+    gather of ``_pair_plan`` needs.  ``scatter``, ``param`` and
     ``coef`` map parameters into the real view of the stack of per-term
     variable copies X_t (T, D, D): entry ``scatter[k]`` receives
     ``coef[k] * y[param[k]]``.  The same plan read backwards gives the
@@ -243,19 +243,17 @@ class _PairPlan:
     """The Schur block S_vu = Re(T_v^T K T_u) of a pair of variables.
 
     K keeps the rows (a, d) and columns (b, c) with a in ``a_range`` and b
-    in ``b_range``, the entries that v's basis reaches.  One gather reads
-    each entry that both bases reach once, at flat ``rows + cols``;  H_j of
-    u then sums its two columns ``u_pick[q, j]`` with ``coefs[q, j]``, and
-    H_i of v its rows ``v_pick[p, i]`` with ``weights[p, i]``.  The block
-    lands at ``at`` of S.
+    in ``b_range``, the entries that v's basis reaches.  H_i of v is read
+    at its first entry only, at flat row ``rows[i]``, with weight
+    ``first[i]``; H_j of u sums its two entries, at flat columns
+    ``cols[q, j]``, with ``coefs[q, j]``.  One gather per entry of u reads
+    K at ``rows + cols[q]``.  The block lands at ``at`` of S.
     """
     a_range: slice
     b_range: slice
-    rows: np.ndarray         # (n_rows, 1) int
-    cols: np.ndarray         # (n_cols,) int
-    v_pick: np.ndarray       # (p_v, m_v) int
-    weights: np.ndarray      # (p_v, m_v) complex
-    u_pick: np.ndarray       # (2, m_u) int
+    rows: np.ndarray         # (m_v, 1) int
+    cols: np.ndarray         # (2, m_u) int
+    first: np.ndarray        # (m_v,) complex
     coefs: np.ndarray        # (2, m_u) complex
     at: tuple
 
@@ -327,10 +325,10 @@ class _CompiledLmi:
         s = np.zeros((self.g.size, self.g.size))
         for key, k in kmats.items():
             plan = self.pairs[key]
-            entries = k.reshape(-1)[plan.rows + plan.cols]
-            half = entries[:, plan.u_pick[0]] * plan.coefs[0]
-            half += entries[:, plan.u_pick[1]] * plan.coefs[1]
-            block = np.einsum("pi,pij->ij", plan.weights, half[plan.v_pick]).real
+            flat = k.reshape(-1)
+            acc = plan.coefs[0] * flat[plan.rows + plan.cols[0]]
+            acc += plan.coefs[1] * flat[plan.rows + plan.cols[1]]
+            block = (plan.first[:, None] * acc).real
             rows, cols = plan.at
             if key[0] == key[1]:
                 s[rows, cols] = (block + block.T) / 2.0
@@ -352,38 +350,21 @@ def _kron_schur(f: np.ndarray, p: _BlockVar, q: _BlockVar, plan: _PairPlan) -> n
     return lhs @ rhs
 
 
-def _schur_entries(t: BasisMap, first_only: bool):
-    """Where the basis of t reads K in a Schur gather: the distinct places
-    (a, b) of its entries, in row-major order, and for each element the
-    index ``pick[p, j]`` of its entries' places and their ``weights[p, j]``.
+def _pair_plan(tv: BasisMap, tu: BasisMap, at: tuple) -> _PairPlan:
+    """The Schur gather of variables v and u.
 
-    With ``first_only``, for the rows of S: since the map takes X^dagger
-    to G(X)^dagger, H_j = c E_ab + conj(c) E_ba contributes
-    2 Re(c tr(G(E_ab) W G_k W)) for Hermitian G_k and W, so an element
-    keeps its first entry, with twice its weight off the diagonal.
+    Since the map takes X^dagger to G(X)^dagger, H_i = c E_ab + conj(c) E_ba
+    contributes 2 Re(c tr(G(E_ab) W G_j W)) for Hermitian G_j and W, so v
+    keeps its first entries, with twice their weight off the diagonal.
     """
-    if first_only:
-        rows, cols = t.rows[:1], t.cols[:1]
-        weights = t.coefs[:1] * np.where(rows == cols, 1.0, 2.0)
-    else:
-        rows, cols, weights = t.rows, t.cols, t.coefs
-    code = rows * t.side + cols
-    taken = np.zeros(t.side * t.side, dtype=bool)
-    taken[code] = True
-    places = np.flatnonzero(taken)
-    return places // t.side, places % t.side, (np.cumsum(taken) - 1)[code], weights
-
-
-def _pair_plan(v_entries, u_entries, du: int, at: tuple) -> _PairPlan:
-    """The Schur gather of variables v and u from ``_schur_entries`` of both."""
-    a, b, v_pick, weights = v_entries
-    c, d, u_pick, coefs = u_entries
+    a, b = tv.rows[0], tv.cols[0]
     a0, b0 = a.min(), b.min()
     n_b = b.max() + 1 - b0
+    du = tu.side
     # K[(a, d), (b, c)] flattened: ((a du + d) n_b + b) du + c, with a and b from a0 and b0
     return _PairPlan(slice(a0, a.max() + 1), slice(b0, b0 + n_b),
-                     (((a - a0) * du * n_b + b - b0) * du)[:, None], d * (n_b * du) + c,
-                     v_pick, weights, u_pick, coefs, at)
+                     (((a - a0) * du * n_b + b - b0) * du)[:, None], tu.cols * (n_b * du) + tu.rows,
+                     tv.coefs[0] * np.where(a == b, 1.0, 2.0), tu.coefs, at)
 
 
 def _objective_row(problem, index, maps, offsets):
@@ -478,8 +459,6 @@ def _compile(problem: SdpProblem) -> _CompiledLmi:
               for c_idx, con in enumerate(problem.psd_constraints)]
     if not blocks:
         raise SdpError("problem has no PSD constraints")
-    firsts = [_schur_entries(t, True) for t in maps]
-    alls = [_schur_entries(t, False) for t in maps]
     pairs = {}
     for blk in blocks:
         for i, p in enumerate(blk.parts):
@@ -488,7 +467,7 @@ def _compile(problem: SdpProblem) -> _CompiledLmi:
                 if (v, u) not in pairs:
                     at = (slice(offsets[v], offsets[v] + sizes[v]),
                           slice(offsets[u], offsets[u] + sizes[u]))
-                    pairs[v, u] = _pair_plan(firsts[v], alls[u], maps[u].side, at)
+                    pairs[v, u] = _pair_plan(maps[v], maps[u], at)
 
     return _CompiledLmi(g, blocks, maps, offsets, pairs, sense)
 

@@ -39,6 +39,10 @@ from .games import RankOneGame, SchurMatrix, schur_game
 from .strategies import identity_strategy, seesaw_lower_bound, win_prob_entangled
 
 DEFAULT_SDP_TOL = 1e-7
+# schur_s_search: coordinate-descent sweeps per start, random starts, grid phases
+S_SEARCH_ITERS = 60
+S_SEARCH_RESTARTS = 8
+S_SEARCH_PHASES = 16
 
 
 class CalculationError(RuntimeError):
@@ -275,7 +279,7 @@ class ValueReport:
     omega_star_upper: float
     omega_star_upper_provenance: str
     tol: float
-    seesaw_value: float | None = None
+    seesaw_value: float
     identity_value: float | None = None
     solver_info: dict = field(default_factory=dict)
 
@@ -299,7 +303,6 @@ class ValueReport:
 
 @dataclass
 class SeesawConfig:
-    enabled: bool = True
     restarts: int = 20
     iters: int = 200
     seed: int = 0
@@ -331,23 +334,10 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
 
     identity_value = win_prob_entangled(g, identity_strategy(g.d_a, g.d_b))
 
-    seesaw_value = None
-    seesaw_meta = {}
-    lower_candidates = [("identity", identity_value), ("mu/4", mu_lo ** 2 / 4.0)]
-    if cfg.enabled:
-        res = seesaw_lower_bound(g, restarts=cfg.restarts,
-                                 iters=cfg.iters, seed=cfg.seed,
-                                 target=up - tol * max(1.0, up))
-        seesaw_value = res.value
-        # the heuristic is a lower bound only: ancilla dimensions are a choice
-        seesaw_meta = {
-            "seesaw_ancilla": [res.strategy.d_ap, res.strategy.d_bp],
-            "seesaw_restarts": cfg.restarts,
-            "seesaw_restarts_run": res.restarts_run,
-            "seesaw_converged": res.converged,
-        }
-        lower_candidates.append(("seesaw", seesaw_value))
-
+    res = seesaw_lower_bound(g, restarts=cfg.restarts, iters=cfg.iters, seed=cfg.seed,
+                             target=up - tol * max(1.0, up))
+    lower_candidates = [("identity", identity_value), ("mu/4", mu_lo ** 2 / 4.0),
+                        ("seesaw", res.value)]
     lo_prov, lo = max(lower_candidates, key=lambda kv: kv[1])
     return ValueReport(
         v=v,
@@ -360,14 +350,18 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
         omega_star_upper=up,
         omega_star_upper_provenance=up_prov,
         tol=tol,
-        seesaw_value=seesaw_value,
+        seesaw_value=res.value,
         identity_value=identity_value,
         solver_info={
             "qow_iterations": qres.solution.iterations,
             "mu_iterations": mres.solution.iterations,
             "qow_gap": qres.solution.gap,
             "mu_gap": mres.solution.gap,
-            **seesaw_meta,
+            # the heuristic is a lower bound only: ancilla dimensions are a choice
+            "seesaw_ancilla": [res.strategy.d_ap, res.strategy.d_bp],
+            "seesaw_restarts": cfg.restarts,
+            "seesaw_restarts_run": res.restarts_run,
+            "seesaw_converged": res.converged,
         },
     )
 
@@ -397,8 +391,7 @@ def schur_s_upper(phi: SchurMatrix, psi: np.ndarray) -> float:
     return la.trace_norm(psi)
 
 
-def schur_s_search(phi: SchurMatrix, iters: int = 60, seed: int = 0,
-                   restarts: int = 8, phase_grid: int = 16):
+def schur_s_search(phi: SchurMatrix, seed: int = 0):
     """Phase-only heuristic for the dominating-witness infimum S(G).
 
     Witness moduli are pinned to |phi| (so domination is automatic) and the
@@ -411,7 +404,7 @@ def schur_s_search(phi: SchurMatrix, iters: int = 60, seed: int = 0,
     if np.all(moduli == 0.0):
         return 0.0, np.zeros((n, n), dtype=complex)
     rng = np.random.default_rng(seed)
-    grid = np.exp(2j * np.pi * np.arange(phase_grid) / phase_grid)
+    grid = np.exp(2j * np.pi * np.arange(S_SEARCH_PHASES) / S_SEARCH_PHASES)
 
     def norm_of(phases):
         return la.trace_norm(moduli * phases)
@@ -419,12 +412,12 @@ def schur_s_search(phi: SchurMatrix, iters: int = 60, seed: int = 0,
     best_phases = None
     best_val = np.inf
     starts = [np.ones((n, n), dtype=complex), np.exp(1j * np.angle(phi.phi))]
-    for r in range(max(0, restarts)):
+    for _ in range(S_SEARCH_RESTARTS):
         starts.append(np.exp(2j * np.pi * rng.random((n, n))))
     for start in starts:
         phases = start.copy()
         val = norm_of(phases)
-        for _ in range(max(1, iters)):
+        for _ in range(S_SEARCH_ITERS):
             improved = False
             for i in range(n):
                 for j in range(n):

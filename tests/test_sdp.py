@@ -323,6 +323,26 @@ def real_only_program():
     )
 
 
+def split_first_program(rng):
+    """An off-diagonal K (side 4, split 1) declared before a Hermitian X
+    (side 2) and an off-diagonal L (side 4, split 3), all in one 5x5 block
+    with the signed terms K(+a), X(-b), L(+c), K(-c): K is the row variable
+    of its pairs with X and L, and K and L have different splits."""
+    def factor(cols):
+        return rng.standard_normal((5, cols)) + 1j * rng.standard_normal((5, cols))
+
+    a, b, c = factor(4), factor(2), factor(4)
+    return sdp.SdpProblem(
+        variables=[sdp.SdpVariable("K", 4, sdp.OFF_DIAGONAL, split=1),
+                   sdp.SdpVariable("X", 2),
+                   sdp.SdpVariable("L", 4, sdp.OFF_DIAGONAL, split=3)],
+        objective={},
+        psd_constraints=[sdp.PsdConstraint(np.eye(5), [
+            sdp.PsdTerm("K", a), sdp.PsdTerm("X", b, -1),
+            sdp.PsdTerm("L", c), sdp.PsdTerm("K", c, -1)])],
+    )
+
+
 def schur_programs():
     g = random_game(2, 2, 1.0, np.random.default_rng(31))
     u = random_game(2, 2, 1.0, np.random.default_rng(32)).m
@@ -334,6 +354,7 @@ def schur_programs():
         "norm": oracles.haagerup_norm_program(u, 2, 2),
         "mixed": mixed_program(np.random.default_rng(33)),
         "real-only": real_only_program(),
+        "split-first": split_first_program(np.random.default_rng(40)),
     }
 
 
@@ -402,7 +423,8 @@ def random_blocks(problem, rng):
     return out
 
 
-PROGRAMS = ["pairing", "pairing-transposed", "mu", "mu-witness", "norm", "mixed", "real-only"]
+PROGRAMS = ["pairing", "pairing-transposed", "mu", "mu-witness", "norm", "mixed", "real-only",
+            "split-first"]
 
 
 class TestSchurAssembly:
@@ -423,7 +445,8 @@ class TestSchurAssembly:
 class TestBlockOperator:
     # mixed sides in one block ("mixed": X of side 3 beside Y of side 2), one
     # variable in two blocks ("mu"'s K), an off-diagonal variable with a
-    # negative term ("real-only")
+    # negative term ("real-only"), off-diagonal variables of two splits around
+    # a Hermitian one ("split-first")
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_apply_matches_dense_reference(self, name):
         problem = schur_programs()[name]

@@ -241,7 +241,7 @@ class TestEntangledValueBounds:
 
     def test_report_json_fields(self):
         g, _ = games.game_gc(2)
-        rep = values.entangled_value_bounds(g, seesaw_cfg=values.SeesawConfig(enabled=False))
+        rep = values.entangled_value_bounds(g)
         obj = rep.to_json()
         for key in ("V", "qow", "mu", "omega_star_lower", "omega_star_upper",
                     "omega_star_lower_provenance", "omega_star_upper_provenance"):
