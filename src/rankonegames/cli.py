@@ -27,7 +27,13 @@ EXIT_IO = 2
 EXIT_SOLVER = 3
 EXIT_REPRODUCE = 4
 
-FAMILIES = ("gc", "gr", "gcr", "schur-an")
+# name -> constructor of (game, purification); schur-an's n is the k of phi_k
+FAMILIES = {
+    "gc": games.game_gc,
+    "gr": games.game_gr,
+    "gcr": games.game_gcr,
+    "schur-an": lambda k: games.schur_game(games.schur_an_multiplier(k)),
+}
 
 
 class UsageError(Exception):
@@ -152,22 +158,16 @@ class ReproductionRow:
 
 # -- commands ------------------------------------------------------------------------
 
-def _make_family(family: str, n: int):
-    if family == "gc":
-        return games.game_gc(n)
-    if family == "gr":
-        return games.game_gr(n)
-    if family == "gcr":
-        return games.game_gcr(n)
-    if family == "schur-an":
-        return games.schur_game(games.schur_an_multiplier(n))
-    raise UsageError(f"unknown family {family!r}; choose from {FAMILIES}")
-
-
 def cmd_make(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    g, p = _make_family(args.family, args.n)
+    cap = games.DEFAULT_SIDE_CAP
+    # 4^k is clamped so that a huge --n is never a huge integer; 4^64 is above any cap
+    side = 4 ** min(args.n, 64) if args.family == "schur-an" else args.n ** 2
+    if side > cap:
+        raise UsageError(f"--family {args.family} --n {args.n} makes a game whose side "
+                         f"is above the cap {cap}")
+    g, p = FAMILIES[args.family](args.n)
     obj = games.game_to_json(g, p)
     obj["family"] = args.family
     obj["n"] = args.n
@@ -218,8 +218,8 @@ def cmd_value(args) -> int:
         report["bound"] = res.bound
         report["solver"] = {"iterations": res.solution.iterations, "gap": res.solution.gap}
     else:  # bracket
-        cfg = values.SeesawConfig(restarts=args.seesaw_restarts, seed=args.seed)
-        rep = values.entangled_value_bounds(g, tol=tol, seesaw_cfg=cfg)
+        rep = values.entangled_value_bounds(g, tol=tol, restarts=args.seesaw_restarts,
+                                            seed=args.seed)
         report.update(rep.to_json())
     if args.format == "csv":
         flat = {k: v for k, v in report.items() if not isinstance(v, dict)}
@@ -368,15 +368,11 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
 
 def _rows_schur(tol: float, seed: int) -> list[ReproductionRow]:
     rows = []
-    ones = np.ones((2, 2))
     for k in range(1, 7):
         phi = games.schur_an_multiplier(k)
         rows.append(ReproductionRow(
             "schur-an", k, "V", 1.0, values.schur_maximal_value(phi), 1e-12))
-        witness = np.array([[1.0]])
-        for _ in range(k):
-            witness = np.kron(witness, ones)
-        witness = witness * 2.0 ** (-1.5 * k)
+        witness = np.ones((2 ** k, 2 ** k)) * 2.0 ** (-1.5 * k)
         rows.append(ReproductionRow(
             "schur-an", k, "S_upper_flat_witness", 2.0 ** (-k / 2.0),
             values.schur_s_upper(phi, witness), 1e-12))
@@ -436,7 +432,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="also write the report to this path")
 
     p_make = sub.add_parser("make", help="write a canonical game file")
-    p_make.add_argument("--family", required=True, choices=FAMILIES)
+    p_make.add_argument("--family", required=True, choices=list(FAMILIES))
     p_make.add_argument("--n", type=int, required=True)
     p_make.add_argument("--out", required=True)
     p_make.set_defaults(func=cmd_make)

@@ -108,14 +108,13 @@ def purify(g: RankOneGame) -> GamePurification:
     total = float(np.sum(s))
     if total > 1.0 + TRACE_NORM_SLACK:
         raise GameError("cannot purify: trace norm exceeds one")
-    keep = [i for i in range(s.size) if s[i] > 0.0]
+    keep = np.flatnonzero(s > 0.0)
     d_ab = g.d_a * g.d_b
-    d_c = len(keep) + 2
+    d_c = keep.size + 2
     psi = np.zeros((d_ab, d_c), dtype=complex)
     gamma = np.zeros((d_ab, d_c), dtype=complex)
-    for slot, i in enumerate(keep):
-        psi[:, slot] = np.sqrt(s[i]) * u[:, i]
-        gamma[:, slot] = np.sqrt(s[i]) * vdag[i, :].conj()
+    psi[:, :keep.size] = np.sqrt(s[keep]) * u[:, keep]
+    gamma[:, :keep.size] = np.sqrt(s[keep]) * vdag[keep, :].conj().T
     pad = np.sqrt(max(1.0 - total, 0.0))
     psi[0, d_c - 2] = pad
     gamma[0, d_c - 1] = pad
@@ -124,32 +123,39 @@ def purify(g: RankOneGame) -> GamePurification:
 
 # -- canonical families -------------------------------------------------------
 
-def game_gc(n: int) -> tuple[RankOneGame, GamePurification]:
-    """M = (1/n) sum_i |i><0| (x) |0><i|; psi = (1/sqrt n) sum |i 0>|i>."""
+def _referee_game(n: int, pairs) -> tuple[RankOneGame, GamePurification]:
+    """The game of the referee states given by K index pairs (r_k, c_k) on A (x) B.
+
+    Each r_k and c_k is an array over i = 0..n-1 of flat indices a n + b.
+    psi = (1/sqrt(Kn)) sum_{i,k} |r_k(i)>|K i + k> and gamma the same with
+    c_k, so M = tr_C |psi><gamma| = (1/(Kn)) sum_{i,k} |r_k(i)><c_k(i)|.
+    The C register is C^n (x) C^K: slot k of round i has flat index K i + k.
+    """
     if n < 1:
         raise GameError("n must be at least 1")
+    k_pairs = len(pairs)
+    d_c = k_pairs * n
     m = np.zeros((n * n, n * n), dtype=complex)
-    psi = np.zeros(n * n * n, dtype=complex)
-    gamma = np.zeros(n * n * n, dtype=complex)
-    for i in range(n):
-        m += la.kron(la.ketbra(n, i, n, 0), la.ketbra(n, 0, n, i)) / n
-        psi[(i * n + 0) * n + i] = 1.0 / np.sqrt(n)
-        gamma[(0 * n + i) * n + i] = 1.0 / np.sqrt(n)
-    return RankOneGame(n, n, m), GamePurification(n, n, n, psi, gamma)
+    psi = np.zeros((n * n, d_c), dtype=complex)
+    gamma = np.zeros((n * n, d_c), dtype=complex)
+    slots = k_pairs * np.arange(n)
+    for k, (r, c) in enumerate(pairs):
+        m[r, c] += 1.0 / d_c
+        psi[r, slots + k] = 1.0 / np.sqrt(d_c)
+        gamma[c, slots + k] = 1.0 / np.sqrt(d_c)
+    return RankOneGame(n, n, m), GamePurification(n, n, d_c, psi, gamma)
+
+
+def game_gc(n: int) -> tuple[RankOneGame, GamePurification]:
+    """M = (1/n) sum_i |i><0| (x) |0><i|; psi = (1/sqrt n) sum |i 0>|i>."""
+    i = np.arange(n)
+    return _referee_game(n, [(i * n, i)])
 
 
 def game_gr(n: int) -> tuple[RankOneGame, GamePurification]:
     """M = (1/n) sum_i |0><i| (x) |i><0|; roles of game_gc exchanged."""
-    if n < 1:
-        raise GameError("n must be at least 1")
-    m = np.zeros((n * n, n * n), dtype=complex)
-    psi = np.zeros(n * n * n, dtype=complex)
-    gamma = np.zeros(n * n * n, dtype=complex)
-    for i in range(n):
-        m += la.kron(la.ketbra(n, 0, n, i), la.ketbra(n, i, n, 0)) / n
-        psi[(0 * n + i) * n + i] = 1.0 / np.sqrt(n)
-        gamma[(i * n + 0) * n + i] = 1.0 / np.sqrt(n)
-    return RankOneGame(n, n, m), GamePurification(n, n, n, psi, gamma)
+    i = np.arange(n)
+    return _referee_game(n, [(i, i * n)])
 
 
 def game_gcr(n: int) -> tuple[RankOneGame, GamePurification]:
@@ -159,55 +165,28 @@ def game_gcr(n: int) -> tuple[RankOneGame, GamePurification]:
     gamma = (1/sqrt(2n)) sum_i (|0 i>|i,0> + |i 0>|i,1>),
     where the C register is C^n (x) C^2 with flat index 2i + k.
     """
-    if n < 1:
-        raise GameError("n must be at least 1")
-    gc, _ = game_gc(n)
-    gr, _ = game_gr(n)
-    m = (gc.m + gr.m) / 2.0
-    d_c = 2 * n
-    psi = np.zeros(n * n * d_c, dtype=complex)
-    gamma = np.zeros(n * n * d_c, dtype=complex)
-    amp = 1.0 / np.sqrt(2 * n)
-    for i in range(n):
-        psi[(i * n + 0) * d_c + (2 * i + 0)] = amp
-        psi[(0 * n + i) * d_c + (2 * i + 1)] = amp
-        gamma[(0 * n + i) * d_c + (2 * i + 0)] = amp
-        gamma[(i * n + 0) * d_c + (2 * i + 1)] = amp
-    return RankOneGame(n, n, m), GamePurification(n, n, d_c, psi, gamma)
+    i = np.arange(n)
+    return _referee_game(n, [(i * n, i), (i, i * n)])
 
 
 def schur_game(s: SchurMatrix) -> tuple[RankOneGame, GamePurification]:
     """Game sum_ij phi_ij |i><j| (x) |i><j| with a diagonal-form purification.
 
     The states are psi = sum_{i,t} alpha_{it} |i>|i>|t> and
-    gamma = sum_{j,t} beta_{jt} |j>|j>|t> where alpha beta^dagger = phi,
-    chosen from the singular value decomposition of phi, plus the same
-    two-slot norm-completion padding as :func:`purify`.
+    gamma = sum_{j,t} beta_{jt} |j>|j>|t> where (alpha, beta) is the
+    :func:`purify` of phi read as a game on C^n (x) C^1, padding included.
     """
     n = s.n
+    diag = np.arange(n) * (n + 1)  # flat index of |i>|i>
     m = np.zeros((n * n, n * n), dtype=complex)
-    diag = np.arange(n) * n + np.arange(n)  # flat index of |i>|i>
     m[np.ix_(diag, diag)] = s.phi
-    u, sv, vdag = la.svd(s.phi)
-    keep = [i for i in range(sv.size) if sv[i] > 0.0]
-    d_c = len(keep) + 2
-    alpha = np.zeros((n, d_c), dtype=complex)
-    beta = np.zeros((n, d_c), dtype=complex)
-    for slot, i in enumerate(keep):
-        alpha[:, slot] = np.sqrt(sv[i]) * u[:, i]
-        beta[:, slot] = np.sqrt(sv[i]) * vdag[i, :].conj()
-    total = float(np.sum(sv))
-    pad = np.sqrt(max(1.0 - total, 0.0))
-    psi = np.zeros(n * n * d_c, dtype=complex)
-    gamma = np.zeros(n * n * d_c, dtype=complex)
-    for i in range(n):
-        for t in range(d_c):
-            psi[(i * n + i) * d_c + t] = alpha[i, t]
-            gamma[(i * n + i) * d_c + t] = beta[i, t]
-    psi[(0 * n + 0) * d_c + (d_c - 2)] += pad
-    gamma[(0 * n + 0) * d_c + (d_c - 1)] += pad
+    p = purify(RankOneGame(n, 1, s.phi, check=False))
+    psi = np.zeros((n * n, p.d_c), dtype=complex)
+    gamma = np.zeros((n * n, p.d_c), dtype=complex)
+    psi[diag] = p.psi.reshape(n, p.d_c)
+    gamma[diag] = p.gamma.reshape(n, p.d_c)
     # the game's trace norm equals the multiplier's, already validated
-    return RankOneGame(n, n, m, check=False), GamePurification(n, n, d_c, psi, gamma)
+    return RankOneGame(n, n, m, check=False), GamePurification(n, n, p.d_c, psi, gamma)
 
 
 def is_schur(g: RankOneGame, tol: float = 1e-10):
@@ -219,31 +198,22 @@ def is_schur(g: RankOneGame, tol: float = 1e-10):
         logger.debug("is_schur: dA=%d != dB=%d, not a Schur game", g.d_a, g.d_b)
         return None
     n = g.d_a
-    t = g.m.reshape(n, n, n, n)  # [(a,b),(a',b')] -> t[a,b,a',b']
-    phi = np.zeros((n, n), dtype=complex)
-    mask = np.zeros((n, n, n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            phi[i, j] = t[i, i, j, j]
-            mask[i, i, j, j] = True
-    off_pattern = t[~mask]
-    if off_pattern.size and np.max(np.abs(off_pattern)) > tol:
+    diag = np.arange(n) * (n + 1)  # flat index of |i>|i>
+    block = np.ix_(diag, diag)
+    off_pattern = g.m.copy()
+    off_pattern[block] = 0.0
+    if np.max(np.abs(off_pattern)) > tol:
         return None
-    return SchurMatrix(n, phi)
-
-
-def hadamard_sign_matrix() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]])
+    return SchurMatrix(n, g.m[block])
 
 
 def schur_an_multiplier(k: int) -> SchurMatrix:
     """Multiplier phi_k = 2^(-3k/2) A^(x k) of the sign-matrix family."""
     if k < 1:
         raise GameError("k must be at least 1")
-    a = hadamard_sign_matrix()
     phi = np.array([[1.0]])
     for _ in range(k):
-        phi = np.kron(phi, a)
+        phi = np.kron(phi, [[1.0, 1.0], [1.0, -1.0]])
     phi = phi * (2.0 ** (-1.5 * k))
     return SchurMatrix(2 ** k, phi.astype(complex))
 

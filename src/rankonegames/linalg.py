@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative tolerance for orthogonality / reconstruction checks.
-ORTHO_TOL = 1e-10
-
 
 class DimensionMismatchError(ValueError):
     """A matrix does not fit the register shape or block it was given."""

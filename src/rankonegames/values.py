@@ -29,7 +29,7 @@ second routes live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -278,38 +278,17 @@ class ValueReport:
     omega_star_lower_provenance: str
     omega_star_upper: float
     omega_star_upper_provenance: str
-    tol: float
     seesaw_value: float
-    identity_value: float | None = None
+    identity_value: float
+    tol: float
     solver_info: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "V": self.v,
-            "qow": self.qow,
-            "qow_bound": self.qow_bound,
-            "mu": self.mu,
-            "mu_bound": self.mu_bound,
-            "omega_star_lower": self.omega_star_lower,
-            "omega_star_lower_provenance": self.omega_star_lower_provenance,
-            "omega_star_upper": self.omega_star_upper,
-            "omega_star_upper_provenance": self.omega_star_upper_provenance,
-            "seesaw_value": self.seesaw_value,
-            "identity_value": self.identity_value,
-            "tol": self.tol,
-            "solver_info": self.solver_info,
-        }
+        return {"V" if k == "v" else k: x for k, x in asdict(self).items()}
 
 
-@dataclass
-class SeesawConfig:
-    restarts: int = 20
-    iters: int = 200
-    seed: int = 0
-
-
-def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
-                           seesaw_cfg: SeesawConfig | None = None) -> ValueReport:
+def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL, restarts: int = 20,
+                           iters: int = 200, seed: int = 0) -> ValueReport:
     """Bracket the entangled value between certified lower and upper bounds.
 
     Lower candidates: the see-saw strategy value, the trivial identity
@@ -322,7 +301,6 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
     ``solver_info["seesaw_restarts"]`` is the configured count and
     ``solver_info["seesaw_restarts_run"]`` the count that ran.
     """
-    cfg = seesaw_cfg or SeesawConfig()
     v = maximal_value(g)
     qres = qow_value(g, tol=tol)
     mres = mu_norm(g, tol=tol)
@@ -334,7 +312,7 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
 
     identity_value = win_prob_entangled(g, identity_strategy(g.d_a, g.d_b))
 
-    res = seesaw_lower_bound(g, restarts=cfg.restarts, iters=cfg.iters, seed=cfg.seed,
+    res = seesaw_lower_bound(g, restarts=restarts, iters=iters, seed=seed,
                              target=up - tol * max(1.0, up))
     lower_candidates = [("identity", identity_value), ("mu/4", mu_lo ** 2 / 4.0),
                         ("seesaw", res.value)]
@@ -349,9 +327,9 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
         omega_star_lower_provenance=lo_prov,
         omega_star_upper=up,
         omega_star_upper_provenance=up_prov,
-        tol=tol,
         seesaw_value=res.value,
         identity_value=identity_value,
+        tol=tol,
         solver_info={
             "qow_iterations": qres.solution.iterations,
             "mu_iterations": mres.solution.iterations,
@@ -359,7 +337,7 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL,
             "mu_gap": mres.solution.gap,
             # the heuristic is a lower bound only: ancilla dimensions are a choice
             "seesaw_ancilla": [res.strategy.d_ap, res.strategy.d_bp],
-            "seesaw_restarts": cfg.restarts,
+            "seesaw_restarts": restarts,
             "seesaw_restarts_run": res.restarts_run,
             "seesaw_converged": res.converged,
         },
@@ -454,19 +432,6 @@ class SchurEquivalenceReport:
     qow_below_s_squared: bool
     mu_quarter_below_qow: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "V": self.v,
-            "qow": self.qow,
-            "qow_bound": self.qow_bound,
-            "S_upper": self.s_upper,
-            "mu": self.mu,
-            "mu_bound": self.mu_bound,
-            "qow_below_S_squared": self.qow_below_s_squared,
-            "mu_quarter_below_qow": self.mu_quarter_below_qow,
-        }
-
 
 def schur_equivalence_check(phi: SchurMatrix, tol: float = 1e-5,
                             sdp_tol: float = DEFAULT_SDP_TOL,
@@ -495,5 +460,5 @@ def schur_equivalence_check(phi: SchurMatrix, tol: float = 1e-5,
         mu_quarter_below_qow=bool(mu_lo ** 2 / 4.0 <= qow_ub + tol),
     )
     if not report.qow_below_s_squared or not report.mu_quarter_below_qow:
-        raise CalculationError(f"Schur chain violated: {report.to_json()}")
+        raise CalculationError(f"Schur chain violated: {report}")
     return report

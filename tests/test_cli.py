@@ -45,6 +45,19 @@ class TestMake:
         g, _ = games.game_from_json(json.loads(out.read_text()))
         assert np.sum(np.linalg.svd(g.m, compute_uv=False)) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("family, n, code", [
+        ("gc", 5, 1), ("gcr", 5, 1), ("schur-an", 3, 1),
+        ("gc", 4, 0), ("gr", 4, 0), ("schur-an", 2, 0)])
+    def test_side_cap_checked_before_building(self, family, n, code, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(games, "DEFAULT_SIDE_CAP", 16)
+        out = tmp_path / "g.json"
+        rc, _, err = run(capsys, "make", "--family", family, "--n", str(n), "--out", str(out))
+        assert rc == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "usage error" in err and "cap 16" in err
+
 
 class TestValue:
     def test_qow_on_gc2(self, tmp_path, capsys):

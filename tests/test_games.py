@@ -146,6 +146,45 @@ class TestFamilies:
             games.game_gc(0)
 
 
+def published_referee_states(family, n):
+    """(M, psi, gamma, d_C) written out from the published formulas.
+
+    G_C: psi = (1/sqrt n) sum_i |i 0>|i>, gamma = (1/sqrt n) sum_i |0 i>|i>.
+    G_R: psi and gamma of G_C exchanged.  G_CR: the C register is
+    C^n (x) C^2 with flat index 2i + k, slot 0 carrying G_C and slot 1 G_R.
+    """
+    def ab(a, b):
+        return a * n + b
+
+    terms = {"gc": [lambda i: (ab(i, 0), ab(0, i))],
+             "gr": [lambda i: (ab(0, i), ab(i, 0))],
+             "gcr": [lambda i: (ab(i, 0), ab(0, i)), lambda i: (ab(0, i), ab(i, 0))]}[family]
+    k_slots = len(terms)
+    d_c = k_slots * n
+    m = np.zeros((n * n, n * n), dtype=complex)
+    psi = np.zeros(n * n * d_c, dtype=complex)
+    gamma = np.zeros(n * n * d_c, dtype=complex)
+    for i in range(n):
+        for k, term in enumerate(terms):
+            r, c = term(i)
+            m[r, c] += 1.0 / d_c
+            psi[r * d_c + k_slots * i + k] = 1.0 / np.sqrt(d_c)
+            gamma[c * d_c + k_slots * i + k] = 1.0 / np.sqrt(d_c)
+    return m, psi, gamma, d_c
+
+
+class TestRefereeStates:
+    @pytest.mark.parametrize("family", ["gc", "gr", "gcr"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_states_pinned_exactly(self, family, n):
+        g, p = getattr(games, f"game_{family}")(n)
+        m, psi, gamma, d_c = published_referee_states(family, n)
+        assert p.d_c == d_c
+        assert np.array_equal(g.m, m)
+        assert np.array_equal(p.psi, psi)
+        assert np.array_equal(p.gamma, gamma)
+
+
 class TestSchur:
     def test_trivial_multiplier(self):
         s = games.SchurMatrix(1, np.array([[1.0]]))
@@ -182,6 +221,30 @@ class TestSchur:
         back = games.is_schur(g)
         assert back is not None
         assert np.max(np.abs(back.phi - phi)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_schur_game_states_are_purify_on_the_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3
+        phi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if seed % 2:
+            phi = phi[:, :1] @ phi[:1, :]  # rank one: purify keeps a single slot
+        phi *= rng.uniform(0.5, 1.0) / la.trace_norm(phi)
+        _, p = games.schur_game(games.SchurMatrix(n, phi))
+        q = games.purify(games.RankOneGame(n, 1, phi))
+        assert p.d_c == q.d_c
+        psi = p.psi.reshape(n, n, p.d_c)
+        gamma = p.gamma.reshape(n, n, p.d_c)
+        i = np.arange(n)
+        assert np.array_equal(psi[i, i], q.psi.reshape(n, q.d_c))
+        assert np.array_equal(gamma[i, i], q.gamma.reshape(n, q.d_c))
+        off = ~np.eye(n, dtype=bool)
+        assert not np.any(psi[off]) and not np.any(gamma[off])
+
+    def test_one_dimensional_is_schur(self):
+        s = games.is_schur(games.RankOneGame(1, 1, np.array([[0.5j]])))
+        assert s is not None
+        assert np.array_equal(s.phi, [[0.5j]])
 
     def test_gc2_not_schur(self):
         g, _ = games.game_gc(2)

@@ -201,8 +201,7 @@ class TestHaagerupNormAndBruteForce:
 class TestEntangledValueBounds:
     def test_gc2_bracket_contains_quarter(self):
         g, _ = games.game_gc(2)
-        rep = values.entangled_value_bounds(
-            g, seesaw_cfg=values.SeesawConfig(restarts=6, iters=80, seed=0))
+        rep = values.entangled_value_bounds(g, restarts=6, iters=80, seed=0)
         assert rep.omega_star_lower <= 0.25 + 1e-6
         assert rep.omega_star_upper >= 0.25 - 1e-5
         assert rep.omega_star_lower <= rep.omega_star_upper + 2e-7
@@ -210,8 +209,7 @@ class TestEntangledValueBounds:
 
     def test_gcr2_bracket(self):
         g, _ = games.game_gcr(2)
-        rep = values.entangled_value_bounds(
-            g, seesaw_cfg=values.SeesawConfig(restarts=6, iters=80, seed=0))
+        rep = values.entangled_value_bounds(g, restarts=6, iters=80, seed=0)
         assert rep.omega_star_lower >= 0.25 - 1e-6
         assert rep.omega_star_upper >= 0.25 - 1e-5
         assert rep.omega_star_lower <= rep.omega_star_upper + 2e-7
@@ -220,8 +218,7 @@ class TestEntangledValueBounds:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
         rep = values.entangled_value_bounds(
-            games.RankOneGame(2, 2, m),
-            seesaw_cfg=values.SeesawConfig(restarts=2, iters=30, seed=0))
+            games.RankOneGame(2, 2, m), restarts=2, iters=30, seed=0)
         assert rep.omega_star_lower == pytest.approx(1.0, abs=1e-6)
         assert rep.omega_star_upper == pytest.approx(1.0, abs=1e-6)
 
@@ -234,7 +231,7 @@ class TestEntangledValueBounds:
         # benchmark game rand2-1 at seed 101: restart 0 ends 0.13 below the
         # upper side, and a later restart closes the bracket
         g = seeded_game("rand2", index=1)
-        rep = values.entangled_value_bounds(g, seesaw_cfg=values.SeesawConfig(seed=101))
+        rep = values.entangled_value_bounds(g, seed=101)
         assert rep.solver_info["seesaw_restarts_run"] == 20
         assert rep.omega_star_lower_provenance == "seesaw"
         assert rep.omega_star_lower == seesaw_lower_bound(g, seed=101).value
