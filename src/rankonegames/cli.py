@@ -272,13 +272,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_repeat(args) -> int:
+    if args.k < 1:
+        raise UsageError("--k must be at least 1")
     if args.dump_sdp and args.which != "qow":
         raise UsageError("--dump-sdp needs --which qow")
     g, p, obj = _load_game(args.game)
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
     try:
-        gk = games.game_power(g, args.k, side_cap=args.side_cap)
+        gk = games.game_power(g, args.k)
     except games.GameError as exc:
         raise UsageError(str(exc)) from exc
     pk = games.purification_power(p, args.k) if p is not None else None
@@ -461,7 +461,6 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--which", default=None, choices=("V", "qow"),
                        help="also compute V or qow on the power")
-    p_rep.add_argument("--side-cap", type=int, default=games.DEFAULT_SIDE_CAP)
     p_rep.add_argument("--tol", type=_tolerance, default=1e-7)
     p_rep.add_argument("--dump-sdp", dest="dump_sdp", default=None,
                        help="write the SDP of --which qow to this path as JSON")

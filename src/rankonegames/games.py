@@ -104,7 +104,7 @@ def purify(g: RankOneGame) -> GamePurification:
     C-basis vectors so the padding never contributes to the partial trace.
     dC is at most dA*dB + 2.
     """
-    u, s, vdag = la.svd(g.m)
+    u, s, vdag = np.linalg.svd(g.m)
     total = float(np.sum(s))
     if total > 1.0 + TRACE_NORM_SLACK:
         raise GameError("cannot purify: trace norm exceeds one")
@@ -231,39 +231,39 @@ def schur_an_game(k: int) -> tuple[SchurMatrix, RankOneGame]:
 
 # -- tensoring ----------------------------------------------------------------
 
-def game_tensor(g1: RankOneGame, g2: RankOneGame,
-                side_cap: int = DEFAULT_SIDE_CAP) -> RankOneGame:
-    """Parallel composition: registers regrouped to (A1 A2, B1 B2)."""
+def game_tensor(g1: RankOneGame, g2: RankOneGame) -> RankOneGame:
+    """Parallel composition: registers regrouped to (A1 A2, B1 B2).
+
+    The side is capped at DEFAULT_SIDE_CAP.
+    """
     d_a = g1.d_a * g2.d_a
     d_b = g1.d_b * g2.d_b
-    if d_a * d_b > side_cap:
-        raise GameError(
-            f"tensor side {d_a * d_b} exceeds the cap {side_cap}; "
-            "raise side_cap explicitly to allow this")
-    big = la.kron(g1.m, g2.m)
-    m = la.permute_registers(big, (g1.d_a, g1.d_b, g2.d_a, g2.d_b), (0, 2, 1, 3))
+    if d_a * d_b > DEFAULT_SIDE_CAP:
+        raise GameError(f"tensor side {d_a * d_b} exceeds the cap {DEFAULT_SIDE_CAP}")
+    # rows and columns of the Kronecker product are (a1, b1, a2, b2)
+    big = np.kron(g1.m, g2.m).reshape((g1.d_a, g1.d_b, g2.d_a, g2.d_b) * 2)
+    m = big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d_a * d_b, d_a * d_b)
     return RankOneGame(d_a, d_b, m)
 
 
 def tensor_purifications(p1: GamePurification, p2: GamePurification) -> GamePurification:
     """Purification of the tensored game: states tensored, registers regrouped."""
-    psi = np.kron(p1.psi, p2.psi)
-    gamma = np.kron(p1.gamma, p2.gamma)
     dims = (p1.d_a, p1.d_b, p1.d_c, p2.d_a, p2.d_b, p2.d_c)
-    perm = (0, 3, 1, 4, 2, 5)
-    psi = la.permute_vector(psi, dims, perm)
-    gamma = la.permute_vector(gamma, dims, perm)
-    return GamePurification(
-        p1.d_a * p2.d_a, p1.d_b * p2.d_b, p1.d_c * p2.d_c, psi, gamma)
+
+    def regroup(v1, v2):
+        return np.kron(v1, v2).reshape(dims).transpose(0, 3, 1, 4, 2, 5).reshape(-1)
+
+    return GamePurification(p1.d_a * p2.d_a, p1.d_b * p2.d_b, p1.d_c * p2.d_c,
+                            regroup(p1.psi, p2.psi), regroup(p1.gamma, p2.gamma))
 
 
-def game_power(g: RankOneGame, k: int, side_cap: int = DEFAULT_SIDE_CAP) -> RankOneGame:
+def game_power(g: RankOneGame, k: int) -> RankOneGame:
     """k-fold tensor power; game_power(g, 1) is g itself."""
     if k < 1:
         raise GameError("k must be at least 1")
     out = g
     for _ in range(k - 1):
-        out = game_tensor(out, g, side_cap=side_cap)
+        out = game_tensor(out, g)
     return out
 
 

@@ -111,11 +111,8 @@ def identity_strategy(d_a: int, d_b: int, d_ap: int = 1, d_bp: int = 1) -> Entan
 
 def swap_unitary(n: int) -> np.ndarray:
     """The flip |i>|j> -> |j>|i> on C^n (x) C^n."""
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            s[j * n + i, i * n + j] = 1.0
-    return s
+    flip = np.eye(n * n, dtype=complex).reshape(n, n, n, n).transpose(1, 0, 2, 3)
+    return flip.reshape(n * n, n * n)
 
 
 NAMED_STRATEGIES = ("identity", "gc-oneway-flip", "gcr-oneway", "gcr2-swap")

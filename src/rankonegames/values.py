@@ -56,37 +56,24 @@ def maximal_value(g: RankOneGame) -> float:
 
 # -- program construction ------------------------------------------------------
 
-def _leg_trace_rows(d: int, leg: int):
-    """Row maps whose conjugation sum gives tr_leg on a pair-indexed side d^2."""
-    rows = []
-    for k in range(d):
-        ek = np.zeros((1, d))
-        ek[0, k] = 1.0
-        rows.append(np.kron(np.eye(d), ek) if leg == 2 else np.kron(ek, np.eye(d)))
-    return rows
+def _cap_columns(d_a: int, d_b: int, side: str, leg: int) -> list[np.ndarray]:
+    """Columns E_k with sum_k E_k^tr Z E_k = tr_leg of one diagonal block of Z.
 
-
-def _placement(d_a: int, d_b: int, side: str) -> np.ndarray:
-    """Isometry onto the upper-left ("A", pairs (a, a')) or lower-right
-    ("B", pairs (b, b')) diagonal block of a Z of side dA^2 + dB^2."""
-    eye = np.eye(d_a * d_a + d_b * d_b)
-    return eye[:, : d_a * d_a] if side == "A" else eye[:, d_a * d_a:]
-
-
-def _cap_rows(d_a: int, d_b: int, side: str, leg: int):
-    """Rows e_k with sum_k e_k Z e_k^dag = tr_leg of one diagonal block of Z.
-
-    leg 1 traces the first pair index, leg 2 the second.
+    Z has side dA^2 + dB^2; side "A" is its upper-left block, on pairs
+    (a, a'), and "B" its lower-right block, on pairs (b, b').  leg 1 traces
+    the first pair index, leg 2 the second.
     """
-    place = _placement(d_a, d_b, side)
-    return [row @ place.T for row in _leg_trace_rows(d_a if side == "A" else d_b, leg)]
+    d, start = (d_a, 0) if side == "A" else (d_b, d_a * d_a)
+    i = np.arange(d)
+    eye = np.eye(d_a * d_a + d_b * d_b)
+    return [eye[:, start + (i * d + k if leg == 2 else k * d + i)] for k in range(d)]
 
 
 def _multiplier_terms(p: str, q: str, d_a: int, d_b: int, legs) -> list[sdp.PsdTerm]:
     """Terms placing the cap multipliers P (dA x dA) and Q (dB x dB) on the
-    diagonal blocks through the adjoints of the cap rows on legs (A, B)."""
-    terms = [sdp.PsdTerm(p, row.T) for row in _cap_rows(d_a, d_b, "A", legs[0])]
-    return terms + [sdp.PsdTerm(q, row.T) for row in _cap_rows(d_a, d_b, "B", legs[1])]
+    diagonal blocks through the cap columns on legs (A, B)."""
+    terms = [sdp.PsdTerm(p, col) for col in _cap_columns(d_a, d_b, "A", legs[0])]
+    return terms + [sdp.PsdTerm(q, col) for col in _cap_columns(d_a, d_b, "B", legs[1])]
 
 
 def _pairing_objective(rm: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -103,9 +90,9 @@ def haagerup_pairing_program(g: RankOneGame, transposed: bool = False) -> sdp.Sd
 
     This is the Lagrange dual of max Re <M, u> over u contractive in the
     Haagerup norm: the caps contribute P (x) 1 and 1 (x) Q through the
-    adjoints of their trace rows, so the program has dA^2 + dB^2 real
-    parameters and one PSD block.  The dual matrix of that block is an
-    optimal witness Z, whose diagonal Grams have caps equal to 1.
+    cap columns, so the program has dA^2 + dB^2 real parameters and one
+    PSD block.  The dual matrix of that block is an optimal witness Z,
+    whose diagonal Grams have caps equal to 1.
     """
     d_a, d_b = g.d_a, g.d_b
     rm = la.realign(g.m, d_a, d_b)
@@ -180,20 +167,25 @@ def _block_psd_min_eig(ru, ya, yb):
     return float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0])
 
 
+def _partial_trace(y: np.ndarray, d: int, leg: int) -> np.ndarray:
+    """tr_leg of a matrix on C^d (x) C^d: leg 1 traces the first factor."""
+    return np.trace(y.reshape(d, d, d, d), axis1=leg - 1, axis2=leg + 1)
+
+
 def haagerup_witness_check(w: HaagerupWitness, tol: float) -> bool:
     """Validate all eigenvalue conditions of the witness to tolerance."""
     ru = la.realign(w.u, w.d_a, w.d_b)
     checks = []
     checks.append(_block_psd_min_eig(ru, w.gram_a, w.gram_b) >= -tol)
-    cap = la.trace_second(w.gram_a, w.d_a, w.d_a) - np.eye(w.d_a)
+    cap = _partial_trace(w.gram_a, w.d_a, 2) - np.eye(w.d_a)
     checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
-    cap = la.trace_first(w.gram_b, w.d_b, w.d_b) - np.eye(w.d_b)
+    cap = _partial_trace(w.gram_b, w.d_b, 1) - np.eye(w.d_b)
     checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
     if w.transposed_gram_a is not None and w.transposed_gram_b is not None:
         checks.append(_block_psd_min_eig(ru, w.transposed_gram_a, w.transposed_gram_b) >= -tol)
-        cap = la.trace_first(w.transposed_gram_a, w.d_a, w.d_a) - np.eye(w.d_a)
+        cap = _partial_trace(w.transposed_gram_a, w.d_a, 1) - np.eye(w.d_a)
         checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
-        cap = la.trace_second(w.transposed_gram_b, w.d_b, w.d_b) - np.eye(w.d_b)
+        cap = _partial_trace(w.transposed_gram_b, w.d_b, 2) - np.eye(w.d_b)
         checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
     return all(checks)
 

@@ -3,13 +3,18 @@
 None of these is used by a command or a value function:
 
 - ``row_block_norm``, ``column_block_norm``, ``cb_norm_c_to_r``,
-  ``operator_norm`` and ``basis_ket`` are the explicit norms and vectors
-  that ``brute_force_haagerup`` and the linear-algebra tests use;
+  ``operator_norm``, ``basis_ket``, ``ketbra`` and ``random_hermitian``
+  are the explicit norms, vectors and matrices that ``brute_force_haagerup``
+  and the tests use;
+- ``partial_trace`` is the partial trace that ``brute_force_haagerup``
+  takes, an einsum over one factor, apart from the witness check's own;
 - ``brute_force_haagerup`` minimizes over explicit decompositions
   u = sum A_i (x) B_i with scipy's optimizers, independent of any SDP;
 - ``haagerup_norm_program`` and ``haagerup_norm`` certify the Haagerup norm
-  of a given witness u on the witness side, from the same cap builders as
-  the package's pairing programs;
+  of a given witness u on the witness side.  Their cap rows and block
+  placements are Kronecker row maps built here, so they share no builder
+  with the package's pairing programs, whose cap columns are index
+  selections of an identity;
 - ``mu_witness_program`` is the witness side of the symmetrized norm, whose
   split dual the package solves;
 - ``realify`` and ``embed_complex`` turn a complex program into the
@@ -34,14 +39,38 @@ from rankonegames.strategies import (
     OneWayStrategy,
     StrategyError,
 )
-from rankonegames.values import (
-    DEFAULT_SDP_TOL,
-    _cap_rows,
-    _leg_trace_rows,
-    _pairing_objective,
-    _placement,
-    _require_optimal,
-)
+from rankonegames.values import DEFAULT_SDP_TOL, _pairing_objective, _require_optimal
+
+
+def _leg_trace_rows(d: int, leg: int):
+    """Row maps whose conjugation sum gives tr_leg on a pair-indexed side d^2."""
+    rows = []
+    for k in range(d):
+        ek = np.zeros((1, d))
+        ek[0, k] = 1.0
+        rows.append(np.kron(np.eye(d), ek) if leg == 2 else np.kron(ek, np.eye(d)))
+    return rows
+
+
+def _placement(d_a: int, d_b: int, side: str) -> np.ndarray:
+    """Isometry onto the upper-left ("A", pairs (a, a')) or lower-right
+    ("B", pairs (b, b')) diagonal block of a Z of side dA^2 + dB^2."""
+    eye = np.eye(d_a * d_a + d_b * d_b)
+    return eye[:, : d_a * d_a] if side == "A" else eye[:, d_a * d_a:]
+
+
+def _cap_rows(d_a: int, d_b: int, side: str, leg: int):
+    """Rows e_k with sum_k e_k Z e_k^dag = tr_leg of one diagonal block of Z.
+
+    leg 1 traces the first pair index, leg 2 the second.
+    """
+    place = _placement(d_a, d_b, side)
+    return [row @ place.T for row in _leg_trace_rows(d_a if side == "A" else d_b, leg)]
+
+
+def partial_trace(y: np.ndarray, d: int, leg: int) -> np.ndarray:
+    """tr_leg of a matrix on C^d (x) C^d: leg 1 traces the first factor."""
+    return np.einsum("kikj->ij" if leg == 1 else "ikjk->ij", y.reshape(d, d, d, d))
 
 
 def _trace_cap_terms(var: str, rows):
@@ -140,9 +169,21 @@ def basis_ket(dim: int, i: int) -> np.ndarray:
     return v
 
 
+def ketbra(dim_i: int, i: int, dim_j: int, j: int) -> np.ndarray:
+    """Matrix unit |i><j| of shape (dim_i, dim_j)."""
+    m = np.zeros((dim_i, dim_j), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (z + z.conj().T) / 2.0
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
-    s = la.singular_values(a)
+    s = np.linalg.svd(la.as_matrix(a), compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
@@ -201,7 +242,7 @@ def brute_force_haagerup(u: np.ndarray, d_a: int, d_b: int, restarts: int = 12,
     import scipy.optimize
 
     ru = la.realign(la.as_matrix(u, d_a * d_b, d_a * d_b), d_a, d_b)
-    uu, sv, vdag = la.svd(ru)
+    uu, sv, vdag = np.linalg.svd(ru)
     r = int(np.sum(sv > rank_cut * max(1.0, sv[0] if sv.size else 0.0)))
     if r == 0:
         return 0.0, [], []
@@ -211,9 +252,9 @@ def brute_force_haagerup(u: np.ndarray, d_a: int, d_b: int, restarts: int = 12,
     def cost(params):
         l = _params_to_lower(params, r)
         s_mat = l @ l.conj().T + 1e-12 * np.eye(r)
-        ya = la.trace_second(a0 @ s_mat @ a0.conj().T, d_a, d_a)
+        ya = partial_trace(a0 @ s_mat @ a0.conj().T, d_a, 2)
         yb_core = np.linalg.solve(s_mat, b0)
-        yb = la.trace_first(b0.conj().T @ yb_core, d_b, d_b)
+        yb = partial_trace(b0.conj().T @ yb_core, d_b, 1)
         na = np.linalg.eigvalsh((ya + ya.conj().T) / 2)[-1]
         nb = np.linalg.eigvalsh((yb + yb.conj().T) / 2)[-1]
         return float(np.sqrt(max(na, 0.0) * max(nb, 0.0)))

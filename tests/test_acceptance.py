@@ -135,7 +135,7 @@ def test_criterion_09_structure_suite():
         if seed % 2 == 0:
             g = random_game(2, 2, 1.0, local)
             p = games.purify(g)
-            u, _, vdag = la.svd(g.m)
+            u, _, vdag = np.linalg.svd(g.m)
             w = u @ vdag
             gamma = (w.conj().T @ p.psi.reshape(4, p.d_c)).reshape(-1)
             q = games.GamePurification(2, 2, p.d_c, p.psi, gamma)
@@ -153,7 +153,7 @@ def test_criterion_09_structure_suite():
         sdp_val, _ = oracles.haagerup_norm(u, 2, 2)
         bf_val, mats_a, mats_b = oracles.brute_force_haagerup(u, 2, 2, seed=seed)
         assert abs(sdp_val - bf_val) <= 1e-3 * max(1.0, sdp_val), (seed, sdp_val, bf_val)
-        rec = sum(la.kron(a, b) for a, b in zip(mats_a, mats_b))
+        rec = sum(np.kron(a, b) for a, b in zip(mats_a, mats_b))
         assert np.max(np.abs(rec - u)) <= 1e-8
     report(9, "50 purification roundtrips, 30 maximal-value checks, "
               "10 block-form vs brute-force agreements")
@@ -163,7 +163,7 @@ def test_criterion_10_sdp_engine_suite():
     rng = np.random.default_rng(10)
     gaps = []
     for _ in range(8):
-        c = la.random_hermitian(4, rng)
+        c = oracles.random_hermitian(4, rng)
         lam = float(np.linalg.eigvalsh(c)[-1])
         # min t s.t. tI - C >= 0, whose dual block is a density matrix X
         # with tr(CX) = lambda_max(C)

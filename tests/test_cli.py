@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -237,14 +238,23 @@ class TestRepeat:
         assert "--which" in err and out == ""
         assert not out2.exists()
 
-    def test_cap_exceeded(self, tmp_path, capsys):
+    def test_cap_exceeded(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gcr3.json"
         run(capsys, "make", "--family", "gcr", "--n", "3", "--out", str(path))
+        monkeypatch.setattr(games, "DEFAULT_SIDE_CAP", 16)
         out2 = tmp_path / "big.json"
         code, _, err = run(capsys, "repeat", "--game", str(path), "--k", "2",
-                           "--out", str(out2), "--side-cap", "16")
+                           "--out", str(out2))
         assert code == 1
         assert "cap" in err
+
+    def test_bad_k_checked_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "repeat", "--game", str(tmp_path / "nope.json"),
+                                "--k", "0", "--out", str(out))
+        assert code == 1
+        assert err.startswith("usage error:") and "--k" in err and stdout == ""
+        assert not out.exists()
 
 
 class TestReproduce:
@@ -332,6 +342,7 @@ class TestRemovedFlags:
         ("repeat", ["--seed", "1"]),
         ("repeat", ["--format", "json"]),
         ("reproduce", ["--dump-sdp", "x.json"]),
+        ("repeat", ["--side-cap", "16"]),
     ])
     def test_flag_is_usage_error(self, command, flag, tmp_path, capsys):
         path = tmp_path / "gc2.json"
@@ -425,6 +436,38 @@ class TestDeterminism:
             code = f"import sys, rankonegames.cli; sys.exit(rankonegames.cli.main({argv!r}))"
             done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
             assert (done.returncode, done.stdout, done.stderr) == result
+
+    # every entry of these files is one correctly rounded sqrt or product, so
+    # the bytes do not depend on the BLAS
+    @pytest.mark.parametrize("family, k, sha256", [
+        pytest.param("gc", 2, "d408a2dfbe0f155ed9885a33d6e3a3ce722f6ff406256e2ceb59dcc9b3acd5b4",
+                     id="gc2-k2"),
+        pytest.param("gcr", 2, "4a7793f91c4d91858d106d4421e18c01f021789ec834a9b883922be4734597e1",
+                     id="gcr2-k2"),
+        pytest.param("gcr", 3, "c5758cd55fc303471de15f21d0dc78e2afe9434fd3780d407511f462104cbb45",
+                     id="gcr2-k3"),
+    ])
+    def test_repeat_file_bytes_pinned(self, family, k, sha256, tmp_path, capsys):
+        path, power = tmp_path / "g.json", tmp_path / "power.json"
+        run(capsys, "make", "--family", family, "--n", "2", "--out", str(path))
+        code, _, _ = run(capsys, "repeat", "--game", str(path), "--k", str(k),
+                         "--out", str(power))
+        assert code == 0
+        assert hashlib.sha256(power.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("which, sha256", [
+        pytest.param("qow", "5595b2c06b3e5fe0c4f2e60af0387d6485627af4e890b6dab8b5108438c00596",
+                     id="qow"),
+        pytest.param("mu", "1c205241c74f38dcecba2e2e4f7ba5e9cbc225c0a6c5a29a924ce99e0cca29b5",
+                     id="mu"),
+    ])
+    def test_dump_sdp_bytes_pinned(self, which, sha256, tmp_path, capsys):
+        path, dump = tmp_path / "gcr2.json", tmp_path / "sdp.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+        code, _, _ = run(capsys, "value", "--game", str(path), "--which", which,
+                         "--dump-sdp", str(dump))
+        assert code == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == sha256
 
     def test_float_formatting_17g(self):
         text = cli.dump_json({"x": 1.0 / 3.0})

@@ -5,6 +5,8 @@ import pytest
 
 from rankonegames import games, linalg as la
 
+import oracles
+
 
 def random_game(d_a, d_b, trace_norm, rng):
     m = rng.standard_normal((d_a * d_b, d_a * d_b)) + 1j * rng.standard_normal((d_a * d_b, d_a * d_b))
@@ -296,9 +298,9 @@ class TestTensor:
         expected = np.zeros((16, 16), dtype=complex)
         for i in range(n):
             for j in range(n):
-                a_part = la.kron(la.ketbra(n, i, n, 0), la.ketbra(n, 0, n, j))
-                b_part = la.kron(la.ketbra(n, 0, n, i), la.ketbra(n, j, n, 0))
-                expected += la.kron(a_part, b_part) / (n * n)
+                a_part = np.kron(oracles.ketbra(n, i, n, 0), oracles.ketbra(n, 0, n, j))
+                b_part = np.kron(oracles.ketbra(n, 0, n, i), oracles.ketbra(n, j, n, 0))
+                expected += np.kron(a_part, b_part) / (n * n)
         assert np.allclose(out.m, expected, atol=1e-14)
 
     def test_associative_up_to_regrouping(self):
@@ -322,11 +324,12 @@ class TestTensor:
         g12 = games.game_tensor(g1, g2)
         assert np.max(np.abs(games.from_states(p12).m - g12.m)) <= 1e-12
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         rng = np.random.default_rng(9)
         g = random_game(8, 8, 0.5, rng)
+        monkeypatch.setattr(games, "DEFAULT_SIDE_CAP", 256)
         with pytest.raises(games.GameError):
-            games.game_tensor(g, g, side_cap=256)
+            games.game_tensor(g, g)
 
 
 class TestMaximalValueOne:
@@ -355,7 +358,7 @@ class TestMaximalValueOne:
                 # unitary-aligned components: trace norm one by construction
                 g = random_game(2, 2, 1.0, local)
                 p = games.purify(g)
-                u, _, vdag = la.svd(g.m)
+                u, _, vdag = np.linalg.svd(g.m)
                 w = u @ vdag  # unitary aligning the singular bases
                 psi_c = p.psi.reshape(4, p.d_c)
                 gamma_c = (w.conj().T @ psi_c).reshape(-1)

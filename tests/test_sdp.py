@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rankonegames import sdp, values
-from rankonegames.linalg import random_hermitian
 
 import oracles
 from conftest import random_game
@@ -49,7 +48,7 @@ class TestLambdaMaxPrograms:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_eigenvalue_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        c = random_hermitian(4, rng)
+        c = oracles.random_hermitian(4, rng)
         lam = np.linalg.eigvalsh(c)[-1]
         sol = sdp.solve(lambda_max_problem(c))
         assert sol.status == "optimal"
@@ -65,7 +64,7 @@ class TestLambdaMaxPrograms:
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_epigraph_form(self, seed):
         rng = np.random.default_rng(seed)
-        c = random_hermitian(3, rng)
+        c = oracles.random_hermitian(3, rng)
         lam = np.linalg.eigvalsh(c)[-1]
         sol = sdp.solve(lambda_max_problem(c))
         assert sol.status == "optimal"
@@ -74,7 +73,7 @@ class TestLambdaMaxPrograms:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_epigraph_dual_block(self, kind):
         rng = np.random.default_rng(8)
-        c = random_hermitian(3, rng)
+        c = oracles.random_hermitian(3, rng)
         if kind == "real":
             c = c.real
         sol = sdp.solve(lambda_max_problem(c), tol=1e-7)
@@ -88,7 +87,7 @@ class TestLambdaMaxPrograms:
     def test_duality_gap_certified(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            c = random_hermitian(3, rng)
+            c = oracles.random_hermitian(3, rng)
             sol = sdp.solve(lambda_max_problem(c), tol=1e-7)
             assert sol.status == "optimal"
             assert sol.gap <= 1e-7 * max(1.0, abs(sol.primal_value), abs(sol.dual_value))
@@ -97,7 +96,7 @@ class TestLambdaMaxPrograms:
 
     def test_objective_scaling(self):
         rng = np.random.default_rng(12)
-        c = random_hermitian(3, rng)
+        c = oracles.random_hermitian(3, rng)
         base = sdp.solve(lambda_max_problem(c)).primal_value
         scaled = sdp.solve(lambda_max_problem(2.5 * c)).primal_value
         assert scaled == pytest.approx(2.5 * base, abs=1e-5)
@@ -116,14 +115,14 @@ class TestEmbedComplex:
 
     def test_lambda_max_preserved(self):
         rng = np.random.default_rng(13)
-        c = random_hermitian(3, rng)
+        c = oracles.random_hermitian(3, rng)
         lam = np.linalg.eigvalsh(c)[-1]
         assert np.linalg.eigvalsh(oracles.realify(c))[-1] == pytest.approx(lam, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [14, 15])
     def test_roundtrip_optimum(self, seed):
         rng = np.random.default_rng(seed)
-        c = random_hermitian(3, rng)
+        c = oracles.random_hermitian(3, rng)
         p = lambda_max_problem(c)
         direct = sdp.solve(p, tol=1e-7)
         embedded = sdp.solve(oracles.embed_complex(p), tol=1e-7)
@@ -265,7 +264,7 @@ class TestHermitianData:
     def test_complex_objective_block(self):
         # max tr(CX), C with complex entries, against eigen oracle
         rng = np.random.default_rng(21)
-        c = random_hermitian(3, rng)
+        c = oracles.random_hermitian(3, rng)
         c = c + 1j * (c - c.T) / 2.0  # keep hermitian but exercise imag parts
         c = (c + c.conj().T) / 2.0
         sol = sdp.solve(lambda_max_problem(c))
@@ -299,7 +298,7 @@ def mixed_program(rng):
     c = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable("X", 3), sdp.SdpVariable("Y", 2)],
-        objective={"X": random_hermitian(3, rng), "Y": random_hermitian(2, rng)},
+        objective={"X": oracles.random_hermitian(3, rng), "Y": oracles.random_hermitian(2, rng)},
         psd_constraints=[
             sdp.PsdConstraint(np.eye(3), identity_terms("X", 3)),
             sdp.PsdConstraint(np.eye(4), [sdp.PsdTerm("X", a), sdp.PsdTerm("Y", b)]
@@ -398,7 +397,7 @@ class TestBasisMap:
         mats = dense_basis(t)
         y = rng.standard_normal(t.size)
         assert np.allclose(t.matrix(y), np.tensordot(y, mats, axes=1))
-        h = random_hermitian(3, rng)
+        h = oracles.random_hermitian(3, rng)
         assert np.allclose(t.traces(h), [np.trace(m @ h).real for m in mats])
 
 
@@ -473,7 +472,7 @@ class TestBlockOperator:
         lmi = sdp._compile(problem)
         rng = np.random.default_rng(38)
         z = rng.standard_normal(lmi.g.size)
-        mats = [random_hermitian(con.constant.shape[0], rng) for con in problem.psd_constraints]
+        mats = [oracles.random_hermitian(con.constant.shape[0], rng) for con in problem.psd_constraints]
         applied = lmi.apply(z)
         lhs = sum(np.trace(a @ m).real for a, m in zip(applied, mats))
         adj = lmi.adjoint(mats)
@@ -507,7 +506,7 @@ class TestSecondOrder:
         rng = np.random.default_rng(seed)
         side = 5
         x, s = random_pd(side, rng), random_pd(side, rng)
-        ds = random_hermitian(side, rng)
+        ds = oracles.random_hermitian(side, rng)
         s_chol = sdp._cholesky(s)
         w, g_hat, d = sdp._nt_scaling(x, s_chol)
         corr, p_step, d_step = sdp._second_order(g_hat, d, ds)

@@ -180,7 +180,7 @@ def reference_restart(g, d_ap, d_bp, u, v, iters):
         u4 = u.reshape(g.d_a, d_ap, g.d_a, d_ap)
         v4 = v.reshape(g.d_b, d_bp, g.d_b, d_bp)
         w = np.einsum("abcd,cuav,dwbz->uwvz", m4, u4, v4).reshape(d_ap * d_bp, d_ap * d_bp)
-        wl, _, wr = la.svd(w)
+        wl, _, wr = np.linalg.svd(w)
         y, x = wl[:, 0], wr[0, :].conj()
         yg, xg = y.reshape(d_ap, d_bp).conj(), x.reshape(d_ap, d_bp)
         ku = np.einsum("abcd,dwbz,uw,vz->cuav", m4, v4, yg, xg)

@@ -34,7 +34,7 @@ class TestPairingObjective:
         assert np.allclose(c, c.conj().T)
         s = 4 + 9
         for _ in range(5):
-            z = la.random_hermitian(s, rng)
+            z = oracles.random_hermitian(s, rng)
             expected = np.real(np.sum(rm * z[:4, 4:]))
             assert np.trace(c @ z).real == pytest.approx(expected, abs=1e-12)
 
@@ -163,6 +163,25 @@ class TestWitnessCheck:
         w = values.HaagerupWitness(2, 2, np.zeros((4, 4)), 5.0 * np.eye(4), np.zeros((4, 4)))
         assert not values.haagerup_witness_check(w, 1e-9)
 
+    @pytest.mark.parametrize("gram, leg", [
+        ("gram_a", 2), ("gram_b", 1), ("transposed_gram_a", 1), ("transposed_gram_b", 2)])
+    def test_each_cap_traces_its_leg(self, gram, leg):
+        # tr_1 (E00 (x) I) = I meets a cap of one and tr_2 (E00 (x) I) = 2 E00
+        # breaks it; I (x) E00 does the opposite
+        e00_i = np.kron(np.diag([1.0, 0.0]), np.eye(2))
+        i_e00 = np.kron(np.eye(2), np.diag([1.0, 0.0]))
+        passing, failing = (e00_i, i_e00) if leg == 1 else (i_e00, e00_i)
+        zero = np.zeros((4, 4))
+
+        def check(y):
+            grams = dict.fromkeys(("gram_a", "gram_b", "transposed_gram_a", "transposed_gram_b"),
+                                  zero)
+            grams[gram] = y
+            return values.haagerup_witness_check(values.HaagerupWitness(2, 2, zero, **grams), 1e-9)
+
+        assert check(passing)
+        assert not check(failing)
+
 
 class TestHaagerupNormAndBruteForce:
     def test_swap_norm_is_dimension(self):
@@ -175,7 +194,7 @@ class TestHaagerupNormAndBruteForce:
         rng = np.random.default_rng(2)
         a = la.random_unitary(2, rng)
         b = la.random_unitary(2, rng)
-        val, _ = oracles.haagerup_norm(la.kron(a, b), 2, 2)
+        val, _ = oracles.haagerup_norm(np.kron(a, b), 2, 2)
         assert val == pytest.approx(1.0, abs=1e-5)
 
     def test_transposed_norm_is_norm_of_transpose(self):
@@ -192,7 +211,7 @@ class TestHaagerupNormAndBruteForce:
         sdp_val, _ = oracles.haagerup_norm(u, 2, 2)
         bf_val, mats_a, mats_b = oracles.brute_force_haagerup(u, 2, 2, seed=seed)
         assert abs(sdp_val - bf_val) <= 1e-3 * max(1.0, sdp_val)
-        rec = sum(la.kron(a, b) for a, b in zip(mats_a, mats_b))
+        rec = sum(np.kron(a, b) for a, b in zip(mats_a, mats_b))
         assert np.max(np.abs(rec - u)) <= 1e-10
         # brute-force route can only overestimate the infimum
         assert bf_val >= sdp_val - 1e-5
@@ -423,8 +442,8 @@ class TestMetamorphic:
         # M -> (U_A (x) U_B) M (V_A (x) V_B)^dag
         g = seeded_game(case)
         rng = np.random.default_rng(41)
-        left = la.kron(la.random_unitary(g.d_a, rng), la.random_unitary(g.d_b, rng))
-        right = la.kron(la.random_unitary(g.d_a, rng), la.random_unitary(g.d_b, rng))
+        left = np.kron(la.random_unitary(g.d_a, rng), la.random_unitary(g.d_b, rng))
+        right = np.kron(la.random_unitary(g.d_a, rng), la.random_unitary(g.d_b, rng))
         moved = games.RankOneGame(g.d_a, g.d_b, left @ g.m @ right.conj().T)
         assert values.qow_value(moved).value == pytest.approx(
             values.qow_value(g).value, abs=1e-6)
