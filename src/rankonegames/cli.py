@@ -181,16 +181,24 @@ def _load_game(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise IOError(f"cannot read game file {path}: {exc}") from exc
     g, p = games.game_from_json(obj)
     return g, p, obj
 
 
-def _dump_sdp(path: str, problem) -> None:
-    """Write the program about to be solved as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem.to_json(), fh)
+def _sdp_value(which: str, g, tol: float, dump_path: str | None) -> dict:
+    """Value, bound and solver report of --which qow or mu, after writing the
+    program to dump_path as JSON if given.  The functions are looked up per
+    call, so that tracers and tests can patch them on the module."""
+    program, value = ((values.haagerup_pairing_program, values.qow_value) if which == "qow"
+                      else (values.mu_pairing_program, values.mu_norm))
+    if dump_path:
+        with open(dump_path, "w", encoding="utf-8") as fh:
+            json.dump(program(g).to_json(), fh)
+    res = value(g, tol=tol)
+    return {"value": res.value, "bound": res.bound,
+            "solver": {"iterations": res.solution.iterations, "gap": res.solution.gap}}
 
 
 def cmd_value(args) -> int:
@@ -203,20 +211,8 @@ def cmd_value(args) -> int:
     report = {"game": args.game, "which": args.which, "tol": tol}
     if args.which == "V":
         report["value"] = values.maximal_value(g)
-    elif args.which == "qow":
-        if args.dump_sdp:
-            _dump_sdp(args.dump_sdp, values.haagerup_pairing_program(g))
-        res = values.qow_value(g, tol=tol)
-        report["value"] = res.value
-        report["bound"] = res.bound
-        report["solver"] = {"iterations": res.solution.iterations, "gap": res.solution.gap}
-    elif args.which == "mu":
-        if args.dump_sdp:
-            _dump_sdp(args.dump_sdp, values.mu_pairing_program(g))
-        res = values.mu_norm(g, tol=tol)
-        report["value"] = res.value
-        report["bound"] = res.bound
-        report["solver"] = {"iterations": res.solution.iterations, "gap": res.solution.gap}
+    elif args.which in ("qow", "mu"):
+        report.update(_sdp_value(args.which, g, tol, args.dump_sdp))
     else:  # bracket
         rep = values.entangled_value_bounds(g, tol=tol, restarts=args.seesaw_restarts,
                                             seed=args.seed)
@@ -252,10 +248,11 @@ def _strategy_for(args, g):
         return st.named_strategy(name, root)
     try:
         with open(name, "r", encoding="utf-8") as fh:
-            return st.strategy_from_json(json.load(fh))
-    except OSError as exc:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise IOError(f"strategy {name!r} is neither a known name nor a readable file "
                       f"({exc})") from exc
+    return st.strategy_from_json(obj)
 
 
 def cmd_simulate(args) -> int:
@@ -293,11 +290,8 @@ def cmd_repeat(args) -> int:
     if args.which == "V":
         report["value"] = values.maximal_value(gk)
     elif args.which == "qow":
-        if args.dump_sdp:
-            _dump_sdp(args.dump_sdp, values.haagerup_pairing_program(gk))
-        res = values.qow_value(gk, tol=args.tol)
-        report["value"] = res.value
-        report["bound"] = res.bound
+        res = _sdp_value("qow", gk, args.tol, args.dump_sdp)
+        report.update(value=res["value"], bound=res["bound"])
     if args.which:
         report["which"] = args.which
     sys.stdout.write(dump_json(report) + "\n")

@@ -302,16 +302,23 @@ def game_to_json(g: RankOneGame, p: GamePurification | None = None) -> dict:
 
 
 def game_from_json(obj: dict) -> tuple[RankOneGame, GamePurification | None]:
+    """The game of a game file, and its purification if embedded; malformed
+    content raises GameError."""
     try:
-        g = RankOneGame(int(obj["dA"]), int(obj["dB"]), la.matrix_from_json(obj["M"]))
+        d_a, d_b = int(obj["dA"]), int(obj["dB"])
+        if min(d_a, d_b) < 1:
+            raise GameError(f"dA and dB must be at least 1, not {d_a} and {d_b}")
+        g = RankOneGame(d_a, d_b, la.matrix_from_json(obj["M"]))
+        p = purification_from_json(obj["purification"]) if "purification" in obj else None
+        q = from_states(p) if p is not None else g
     except KeyError as exc:
         raise GameError(f"game JSON is missing key {exc}") from exc
-    p = None
-    if "purification" in obj:
-        p = purification_from_json(obj["purification"])
-        q = from_states(p)
-        if q.d_a != g.d_a or q.d_b != g.d_b or np.max(np.abs(q.m - g.m)) > 1e-8:
-            raise GameError("embedded purification does not reproduce M")
+    except GameError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GameError(f"malformed game JSON: {exc}") from exc
+    if q.d_a != g.d_a or q.d_b != g.d_b or np.max(np.abs(q.m - g.m)) > 1e-8:
+        raise GameError("embedded purification does not reproduce M")
     return g, p
 
 

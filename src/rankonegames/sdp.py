@@ -135,7 +135,6 @@ class SdpSolution:
     assignments: dict[str, np.ndarray]
     iterations: int
     tol: float
-    feas_tol: float
     residuals: dict = field(default_factory=dict)
     # complex Hermitian dual matrix of each PSD constraint, in problem order
     dual_blocks: list[np.ndarray] = field(default_factory=list)
@@ -574,7 +573,7 @@ def _frobenius(a):
     return np.sqrt(2.0) * np.linalg.norm(a)
 
 
-def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
+def _solve_lmi(lmi: _CompiledLmi, tol, max_iters):
     """Interior-point loop on: maximize g.z s.t. F0_c + sum z_j G_cj >= 0,
     with z the variables' parameter vector.
 
@@ -595,7 +594,7 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
 
     if m == 0:
         lam_min = min(float(np.linalg.eigvalsh(f0)[0]) for f0 in blocks_f0)
-        status = "optimal" if lam_min >= -feas_tol * data_scale else "infeasible"
+        status = "optimal" if lam_min >= -DEFAULT_FEAS_TOL * data_scale else "infeasible"
         return (status, np.zeros(0), [np.zeros_like(e) for e in eyes], 0.0, 0.0, 0,
                 {"primal": 0.0, "dual": 0.0, "min_eig": lam_min})
 
@@ -627,7 +626,8 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
 
         # gap measured against the user-facing objective magnitudes
         gap_scale = max(1.0, abs(pobj), abs(dobj))
-        if gap_abs <= tol * gap_scale and prim_res <= feas_tol and dual_res <= feas_tol:
+        feasible = prim_res <= DEFAULT_FEAS_TOL and dual_res <= DEFAULT_FEAS_TOL
+        if gap_abs <= tol * gap_scale and feasible:
             status = "optimal"
             break
 
@@ -702,7 +702,7 @@ def _solve_lmi(lmi: _CompiledLmi, tol, feas_tol, max_iters):
 
     min_eig = min(float(np.linalg.eigvalsh(f0 + gz)[0])
                   for f0, gz in zip(blocks_f0, lmi.apply(z)))
-    if status == "optimal" and min_eig < -10.0 * feas_tol * data_scale:
+    if status == "optimal" and min_eig < -10.0 * DEFAULT_FEAS_TOL * data_scale:
         status = "max-iters"
     residuals = {"primal": float(prim_res), "dual": float(dual_res), "min_eig": min_eig}
     return status, z, list(x_blk), pobj, dobj, it, residuals
@@ -727,7 +727,6 @@ def _make_pd(a):
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
-          feas_tol: float = DEFAULT_FEAS_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Solve the problem; never reports an uncertified ``optimal``.
 
@@ -744,20 +743,19 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     - ``numerical-error``: the duality measure or an objective stopped
       being finite.
 
-    Problem data that are not finite, and a ``tol`` or ``feas_tol`` that
-    is not positive and finite, raise ``SdpError`` before any iteration.
-    On status ``optimal`` the primal and dual values are within ``tol`` of
-    each other (relative to max(1, values)), every PSD block has minimum
-    eigenvalue >= -10*feas_tol at the returned point.  ``dual_blocks`` holds
-    the Hermitian PSD dual matrix X_c of each PSD constraint, and the dual
-    value is sum_c Re tr(F0_c X_c) for a maximization and its negation for
-    a minimization.
+    Problem data that are not finite, and a ``tol`` that is not positive
+    and finite, raise ``SdpError`` before any iteration.  On status
+    ``optimal`` the primal and dual values are within ``tol`` of each other
+    (relative to max(1, values)), and every PSD block has minimum
+    eigenvalue >= -10*DEFAULT_FEAS_TOL at the returned point.
+    ``dual_blocks`` holds the Hermitian PSD dual matrix X_c of each PSD
+    constraint, and the dual value is sum_c Re tr(F0_c X_c) for a
+    maximization and its negation for a minimization.
     """
-    for name, t in (("tol", tol), ("feas_tol", feas_tol)):
-        if not (np.isfinite(t) and t > 0):
-            raise SdpError(f"{name} must be positive and finite, not {t!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise SdpError(f"tol must be positive and finite, not {tol!r}")
     lmi = _compile(problem)
-    status, z, x_blk, pobj, dobj, iters, residuals = _solve_lmi(lmi, tol, feas_tol, max_iters)
+    status, z, x_blk, pobj, dobj, iters, residuals = _solve_lmi(lmi, tol, max_iters)
 
     assignments = {var.name: lmi.variable(z, v) for v, var in enumerate(problem.variables)}
     primal = lmi.sense * pobj
@@ -770,7 +768,6 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
         assignments=assignments,
         iterations=iters,
         tol=tol,
-        feas_tol=feas_tol,
         residuals=residuals,
         dual_blocks=x_blk,
     )

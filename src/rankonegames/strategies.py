@@ -32,7 +32,10 @@ class StrategyError(ValueError):
 
 
 def _check_unitary(u: np.ndarray, side: int, name: str) -> np.ndarray:
-    u = la.as_matrix(u, side, side)
+    try:
+        u = la.as_matrix(u, side, side)
+    except ValueError as exc:
+        raise StrategyError(f"{name}: {exc}") from exc
     if np.linalg.norm(u.conj().T @ u - np.eye(side)) > UNITARITY_TOL * side:
         raise StrategyError(f"{name} is not unitary within tolerance")
     return u
@@ -299,13 +302,19 @@ def strategy_to_json(s) -> dict:
 
 
 def strategy_from_json(obj: dict):
-    kind = obj.get("kind")
-    if kind == "entangled":
-        return EntangledStrategy(
-            int(obj["dAp"]), int(obj["dBp"]),
-            la.matrix_from_json(obj["U"]), la.matrix_from_json(obj["V"]),
-            la.vector_from_json(obj["phi"]))
-    if kind == "oneway":
-        return OneWayStrategy(
-            int(obj["dAp"]), la.matrix_from_json(obj["U"]), la.matrix_from_json(obj["V"]))
+    """The strategy of a strategy file; malformed content raises StrategyError."""
+    try:
+        kind = obj.get("kind")
+        if kind == "entangled":
+            return EntangledStrategy(
+                int(obj["dAp"]), int(obj["dBp"]),
+                la.matrix_from_json(obj["U"]), la.matrix_from_json(obj["V"]),
+                la.vector_from_json(obj["phi"]))
+        if kind == "oneway":
+            return OneWayStrategy(
+                int(obj["dAp"]), la.matrix_from_json(obj["U"]), la.matrix_from_json(obj["V"]))
+    except KeyError as exc:
+        raise StrategyError(f"strategy JSON is missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise StrategyError(f"malformed strategy JSON: {exc}") from exc
     raise StrategyError(f"unknown strategy kind {kind!r}")

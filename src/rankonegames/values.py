@@ -15,16 +15,19 @@ operator-sum constraints become partial-trace caps on those Grams,
 
 The one-way value is solved as the Lagrange dual of this program, over
 the dA^2 + dB^2 multipliers of the two caps; the dual matrix of its one
-PSD block is the witness.  The transposed Haagerup norm caps the
-complementary legs.  The symmetrized norm ``mu`` constrains one witness
-by both programs at once, and the entangled value then sits in
-[mu^2/4, mu^2].  It is solved as its split dual, the infimum over
-M = M1 + M2 of ||M1||_h + ||M2||_h^t: two multiplier blocks joined by an
-off-diagonal split variable, whose two dual matrices are the witness with
-its plain and its transposed Grams.  The tests cross-check the block form
-against brute-force minimization over explicit decompositions, against a
-witness-side norm SDP and against the witness side of ``mu``; these
-second routes live in ``tests/oracles.py``.
+PSD block is the witness, held as that block, with u read from its
+off-diagonal.  The transposed Haagerup norm caps the complementary legs.
+The symmetrized norm ``mu`` constrains one witness by both programs at
+once, and the entangled value then sits in [mu^2/4, mu^2].  It is solved
+as its split dual, the infimum over M = M1 + M2 of ||M1||_h + ||M2||_h^t:
+two multiplier blocks joined by an off-diagonal split variable.  Its
+witness is the two dual blocks, the second given the first one's
+off-diagonal, so that both certify the same u with the plain and the
+transposed Grams.  Both values go through one path, ``_certified``:
+solve, require status optimal, check the blocks at 10 * tol.  The tests
+cross-check the block form against brute-force minimization over explicit
+decompositions, against a witness-side norm SDP and against the witness
+side of ``mu``; these second routes live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -141,30 +144,20 @@ def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
 
 @dataclass
 class HaagerupWitness:
-    """A witness u contractive in the Haagerup norm, with its Grams.
-
-    ``gram_a``/``gram_b`` certify the plain Haagerup constraint; the
-    ``transposed_*`` pair, when present, additionally certifies the
-    transposed constraint (needed by the symmetrized norm).
-    """
+    """A witness u contractive in the Haagerup norm, held as the solver's
+    dual blocks [[Y_A, R(u)], [R(u)^dag, Y_B]].  ``blocks[0]`` certifies the
+    plain constraint; a second block (the symmetrized norm's) has the same
+    R(u) and Grams capped on the complementary legs."""
 
     d_a: int
     d_b: int
-    u: np.ndarray
-    gram_a: np.ndarray
-    gram_b: np.ndarray
-    transposed_gram_a: np.ndarray | None = None
-    transposed_gram_b: np.ndarray | None = None
+    blocks: list[np.ndarray]
 
-
-def _block_psd_min_eig(ru, ya, yb):
-    s = ya.shape[0] + yb.shape[0]
-    block = np.zeros((s, s), dtype=complex)
-    block[: ya.shape[0], : ya.shape[0]] = ya
-    block[ya.shape[0]:, ya.shape[0]:] = yb
-    block[: ya.shape[0], ya.shape[0]:] = ru
-    block[ya.shape[0]:, : ya.shape[0]] = ru.conj().T
-    return float(np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0])
+    @property
+    def u(self) -> np.ndarray:
+        """The witness, read from the first block's off-diagonal R(u)."""
+        na = self.d_a * self.d_a
+        return la.unrealign(self.blocks[0][:na, na:], self.d_a, self.d_b)
 
 
 def _partial_trace(y: np.ndarray, d: int, leg: int) -> np.ndarray:
@@ -173,29 +166,21 @@ def _partial_trace(y: np.ndarray, d: int, leg: int) -> np.ndarray:
 
 
 def haagerup_witness_check(w: HaagerupWitness, tol: float) -> bool:
-    """Validate all eigenvalue conditions of the witness to tolerance."""
-    ru = la.realign(w.u, w.d_a, w.d_b)
-    checks = []
-    checks.append(_block_psd_min_eig(ru, w.gram_a, w.gram_b) >= -tol)
-    cap = _partial_trace(w.gram_a, w.d_a, 2) - np.eye(w.d_a)
-    checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
-    cap = _partial_trace(w.gram_b, w.d_b, 1) - np.eye(w.d_b)
-    checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
-    if w.transposed_gram_a is not None and w.transposed_gram_b is not None:
-        checks.append(_block_psd_min_eig(ru, w.transposed_gram_a, w.transposed_gram_b) >= -tol)
-        cap = _partial_trace(w.transposed_gram_a, w.d_a, 1) - np.eye(w.d_a)
-        checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
-        cap = _partial_trace(w.transposed_gram_b, w.d_b, 2) - np.eye(w.d_b)
-        checks.append(float(np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1]) <= tol)
-    return all(checks)
-
-
-def _split_witness(z: np.ndarray, d_a: int, d_b: int):
-    na = d_a * d_a
-    ya = z[:na, :na]
-    yb = z[na:, na:]
-    u = la.unrealign(z[:na, na:], d_a, d_b)
-    return u, ya, yb
+    """Validate all eigenvalue conditions of the witness to tolerance: each
+    block, with the first block's R(u) put off its diagonal, is PSD, and its
+    Grams meet their caps (tr_2 Y_A, tr_1 Y_B; the legs swap in block 1)."""
+    na = w.d_a * w.d_a
+    ru = w.blocks[0][:na, na:]
+    for block, legs in zip(w.blocks, ((2, 1), (1, 2))):
+        z = np.array(block, dtype=complex)
+        z[:na, na:], z[na:, :na] = ru, ru.conj().T
+        if not np.linalg.eigvalsh((z + z.conj().T) / 2.0)[0] >= -tol:
+            return False
+        for y, d, leg in ((z[:na, :na], w.d_a, legs[0]), (z[na:, na:], w.d_b, legs[1])):
+            cap = _partial_trace(y, d, leg) - np.eye(d)
+            if not np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1] <= tol:
+                return False
+    return True
 
 
 # -- value calculators -----------------------------------------------------------
@@ -208,51 +193,47 @@ class SdpValue:
     solution: sdp.SdpSolution
 
 
-def _require_optimal(sol: sdp.SdpSolution, what: str) -> None:
+def _certified(problem: sdp.SdpProblem, g: RankOneGame, tol: float, what: str,
+               witness_name: str):
+    """Solve a pairing program, whose dual blocks are the witness (a second
+    block takes the first block's off-diagonal).  Raises CalculationError
+    unless the solve is optimal and the witness passes
+    ``haagerup_witness_check`` at 10 * tol."""
+    sol = sdp.solve(problem, tol=tol)
     if sol.status != "optimal":
         raise CalculationError(f"{what}: solver returned status {sol.status!r} "
                                f"after {sol.iterations} iterations")
-
-
-def _require_valid(witness: HaagerupWitness, tol: float, what: str) -> None:
+    na = g.d_a * g.d_a
+    z, *rest = sol.dual_blocks
+    blocks = [z]
+    for x in rest:
+        x = x.copy()
+        x[:na, na:], x[na:, :na] = z[:na, na:], z[na:, :na]
+        blocks.append(x)
+    witness = HaagerupWitness(g.d_a, g.d_b, blocks)
     if not haagerup_witness_check(witness, 10.0 * tol):
-        raise CalculationError(f"{what} failed validation")
+        raise CalculationError(f"{witness_name} failed validation")
+    return sol, witness
 
 
 def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
-    """One-way value: square of the pairing optimum over Haagerup witnesses.
-
-    Raises CalculationError unless the solve is optimal and its witness
-    passes ``haagerup_witness_check`` at 10 * tol.
-    """
-    sol = sdp.solve(haagerup_pairing_program(g), tol=tol)
-    _require_optimal(sol, "one-way value")
-    # the program is the minimization dual: its dual side is the witness
-    u, ya, yb = _split_witness(sol.dual_blocks[0], g.d_a, g.d_b)
-    witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb)
-    _require_valid(witness, tol, "one-way witness")
+    """One-way value: square of the pairing optimum over Haagerup witnesses,
+    certified as in ``_certified``."""
+    sol, witness = _certified(haagerup_pairing_program(g), g, tol, "one-way value",
+                              "one-way witness")
     achieved = max(sol.dual_value, 0.0)
     bound = max(sol.primal_value, 0.0)
     return SdpValue(achieved ** 2, bound ** 2, witness, sol)
 
 
 def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
-    """Symmetrized Haagerup norm of the game matrix (not squared).
-
-    Raises CalculationError unless the solve is optimal and its witness
-    passes ``haagerup_witness_check`` at 10 * tol.
-    """
-    sol = sdp.solve(mu_pairing_program(g), tol=tol)
-    _require_optimal(sol, "symmetrized norm")
-    # the program is the minimization dual: the plain block's dual matrix is
-    # the witness with its Grams, the transposed block's holds the other Grams
-    u, ya, yb = _split_witness(sol.dual_blocks[0], g.d_a, g.d_b)
-    _, ta, tb = _split_witness(sol.dual_blocks[1], g.d_a, g.d_b)
-    witness = HaagerupWitness(g.d_a, g.d_b, u, ya, yb, ta, tb)
-    _require_valid(witness, tol, "symmetrized witness")
-    # the dual value pairs M with the transposed block's copy of u, which
-    # matches the returned u only to the dual residual
-    achieved = max(float(np.sum(g.m * u).real), 0.0)
+    """Symmetrized Haagerup norm of the game matrix (not squared), certified
+    as in ``_certified``."""
+    sol, witness = _certified(mu_pairing_program(g), g, tol, "symmetrized norm",
+                              "symmetrized witness")
+    # the dual value pairs M with the transposed block's own copy of u, which
+    # matches the first block's only to the dual residual
+    achieved = max(float(np.sum(g.m * witness.u).real), 0.0)
     bound = max(sol.primal_value, 0.0)
     return SdpValue(achieved, bound, witness, sol)
 

@@ -14,7 +14,8 @@ None of these is used by a command or a value function:
   of a given witness u on the witness side.  Their cap rows and block
   placements are Kronecker row maps built here, so they share no builder
   with the package's pairing programs, whose cap columns are index
-  selections of an identity;
+  selections of an identity.  ``haagerup_norm`` checks the solver status
+  itself, so it shares no checker with the package's certify path either;
 - ``mu_witness_program`` is the witness side of the symmetrized norm, whose
   split dual the package solves;
 - ``realify`` and ``embed_complex`` turn a complex program into the
@@ -39,7 +40,7 @@ from rankonegames.strategies import (
     OneWayStrategy,
     StrategyError,
 )
-from rankonegames.values import DEFAULT_SDP_TOL, _pairing_objective, _require_optimal
+from rankonegames.values import DEFAULT_SDP_TOL, CalculationError, _pairing_objective
 
 
 def _leg_trace_rows(d: int, leg: int):
@@ -114,7 +115,9 @@ def haagerup_norm(u: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_SDP_TO
                   transposed: bool = False) -> tuple[float, float]:
     """(achieved, certified lower bound) for the witness-side Haagerup norm."""
     sol = sdp.solve(haagerup_norm_program(u, d_a, d_b, transposed=transposed), tol=tol)
-    _require_optimal(sol, "haagerup norm")
+    if sol.status != "optimal":
+        raise CalculationError(f"haagerup norm: solver returned status {sol.status!r} "
+                               f"after {sol.iterations} iterations")
     return float(sol.primal_value), float(sol.dual_value)
 
 

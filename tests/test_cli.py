@@ -206,6 +206,71 @@ class TestSimulate:
         assert err.startswith("usage error:") and out == ""
 
 
+def malformed_game(case):
+    """The text of a gc2 game file spoilt in one way."""
+    obj = games.game_to_json(*games.game_gc(2))
+    if case == "wrong-side":
+        obj["dA"] = 3
+    elif case == "nan-entry":
+        obj["M"]["data"][0] = [float("nan"), 0.0]
+    elif case == "top-level-list":
+        obj = [1, 2]
+    elif case == "non-integer-dA":
+        obj["dA"] = "two"
+    elif case == "short-purification-entry":
+        obj["purification"]["psi"][0] = [1.0]
+    elif case == "negative-dims":
+        del obj["purification"]
+        obj["dA"] = obj["dB"] = -2
+    return json.dumps(obj)
+
+
+class TestMalformedInput:
+    """A malformed game or strategy file exits 2 with an error line."""
+
+    @staticmethod
+    def assert_refused(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("case", ["wrong-side", "nan-entry", "top-level-list",
+                                      "non-integer-dA", "short-purification-entry",
+                                      "negative-dims"])
+    def test_game_file(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(malformed_game(case))
+        self.assert_refused(capsys, "value", "--game", str(path), "--which", "V")
+
+    def test_game_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        self.assert_refused(capsys, "value", "--game", str(path), "--which", "V")
+
+    @pytest.mark.parametrize("case", ["missing-key", "invalid-json", "wrong-side-U",
+                                      "top-level-list"])
+    def test_strategy_file(self, case, tmp_path, capsys):
+        from rankonegames import strategies as st
+        path = tmp_path / "gc2.json"
+        run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
+        n = 3 if case == "wrong-side-U" else 2
+        obj = st.strategy_to_json(st.named_strategy("gc-oneway-flip", n))
+        if case == "missing-key":
+            del obj["U"]
+        text = {"invalid-json": "{", "top-level-list": "[1, 2]"}.get(case, json.dumps(obj))
+        spath = tmp_path / "strategy.json"
+        spath.write_text(text)
+        self.assert_refused(capsys, "simulate", "--game", str(path), "--strategy", str(spath))
+
+    def test_named_strategy_on_unequal_sides(self, tmp_path, capsys):
+        m = np.zeros((6, 6))
+        m[0, 0] = 1.0
+        path = tmp_path / "g23.json"
+        path.write_text(json.dumps(games.game_to_json(games.RankOneGame(2, 3, m))))
+        self.assert_refused(capsys, "simulate", "--game", str(path),
+                            "--strategy", "gc-oneway-flip")
+
+
 class TestRepeat:
     def test_k1_identity(self, tmp_path, capsys):
         path = tmp_path / "gc2.json"

@@ -237,7 +237,7 @@ class TestValidation:
         with pytest.raises(sdp.SdpError, match="not finite"):
             sdp.solve(p)
 
-    @pytest.mark.parametrize("name", ["tol", "feas_tol"])
+    @pytest.mark.parametrize("name", ["tol"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_tolerance_rejected(self, name, bad):
         with pytest.raises(sdp.SdpError, match=name):

@@ -132,8 +132,15 @@ class TestMuNorm:
     def test_witness_has_both_grams(self, sdp_cache):
         res = sdp_cache("mu", "gc", 2)
         w = res.witness
-        assert w.transposed_gram_a is not None
+        assert len(w.blocks) == 2
         assert values.haagerup_witness_check(w, 1e-6)
+
+    def test_blocks_share_the_off_diagonal(self):
+        # the transposed block is certified with the plain block's R(u), exactly
+        na = 4
+        plain, transposed = values.mu_norm(seeded_game("rand2")).witness.blocks
+        assert np.array_equal(transposed[:na, na:], plain[:na, na:])
+        assert np.array_equal(transposed[na:, :na], plain[na:, :na])
 
     @pytest.mark.parametrize("case,seed,index", [
         ("gcr2", 101, 0), ("rand2", 101, 0), ("rand3", 101, 0),
@@ -150,37 +157,61 @@ class TestMuNorm:
         assert values.haagerup_witness_check(w, 10 * tol)
 
 
+def witness_block(ru, ya, yb):
+    """[[Y_A, R(u)], [R(u)^dag, Y_B]] for a 2 x 2 witness."""
+    return np.block([[ya, ru], [ru.conj().T, yb]])
+
+
 class TestWitnessCheck:
+    zero = np.zeros((4, 4))
+
     def test_zero_witness(self):
-        w = values.HaagerupWitness(2, 2, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
+        w = values.HaagerupWitness(2, 2, [witness_block(self.zero, self.zero, self.zero)])
         assert values.haagerup_witness_check(w, 1e-9)
 
     def test_identity_without_grams_fails(self):
-        w = values.HaagerupWitness(2, 2, np.eye(4), np.zeros((4, 4)), np.zeros((4, 4)))
+        ru = la.realign(np.eye(4), 2, 2)
+        w = values.HaagerupWitness(2, 2, [witness_block(ru, self.zero, self.zero)])
         assert not values.haagerup_witness_check(w, 1e-9)
 
     def test_overweight_gram_fails(self):
-        w = values.HaagerupWitness(2, 2, np.zeros((4, 4)), 5.0 * np.eye(4), np.zeros((4, 4)))
+        w = values.HaagerupWitness(2, 2, [witness_block(self.zero, 5.0 * np.eye(4), self.zero)])
         assert not values.haagerup_witness_check(w, 1e-9)
 
-    @pytest.mark.parametrize("gram, leg", [
-        ("gram_a", 2), ("gram_b", 1), ("transposed_gram_a", 1), ("transposed_gram_b", 2)])
-    def test_each_cap_traces_its_leg(self, gram, leg):
+    def test_u_is_read_from_the_first_block(self):
+        u = np.arange(16.0).reshape(4, 4)
+        w = values.HaagerupWitness(2, 2, [witness_block(la.realign(u, 2, 2), self.zero,
+                                                        self.zero)])
+        assert np.array_equal(w.u, u)
+
+    @pytest.mark.parametrize("block, side, leg", [
+        (0, "A", 2), (0, "B", 1), (1, "A", 1), (1, "B", 2)],
+        ids=["gram_a-2", "gram_b-1", "transposed_gram_a-1", "transposed_gram_b-2"])
+    def test_each_cap_traces_its_leg(self, block, side, leg):
         # tr_1 (E00 (x) I) = I meets a cap of one and tr_2 (E00 (x) I) = 2 E00
         # breaks it; I (x) E00 does the opposite
         e00_i = np.kron(np.diag([1.0, 0.0]), np.eye(2))
         i_e00 = np.kron(np.eye(2), np.diag([1.0, 0.0]))
         passing, failing = (e00_i, i_e00) if leg == 1 else (i_e00, e00_i)
-        zero = np.zeros((4, 4))
 
         def check(y):
-            grams = dict.fromkeys(("gram_a", "gram_b", "transposed_gram_a", "transposed_gram_b"),
-                                  zero)
-            grams[gram] = y
-            return values.haagerup_witness_check(values.HaagerupWitness(2, 2, zero, **grams), 1e-9)
+            blocks = [np.zeros((8, 8)), np.zeros((8, 8))]
+            diagonal = slice(0, 4) if side == "A" else slice(4, 8)
+            blocks[block][diagonal, diagonal] = y
+            return values.haagerup_witness_check(values.HaagerupWitness(2, 2, blocks), 1e-9)
 
         assert check(passing)
         assert not check(failing)
+
+    def test_second_block_is_checked_with_the_first_blocks_u(self):
+        # each block is PSD with its own off-diagonal, but the second one, given
+        # R(u) = E00 / 2 of the first, has the principal minor [[0, 1/2], [1/2, 0]]
+        e00, e11 = np.diag([0.5, 0.0, 0.0, 0.0]), np.diag([0.0, 0.5, 0.0, 0.0])
+        first, second = witness_block(e00, e00, e00), witness_block(e11, e11, e11)
+        for block in (first, second):
+            assert values.haagerup_witness_check(values.HaagerupWitness(2, 2, [block]), 1e-9)
+        w = values.HaagerupWitness(2, 2, [first, second])
+        assert not values.haagerup_witness_check(w, 1e-9)
 
 
 class TestHaagerupNormAndBruteForce:
