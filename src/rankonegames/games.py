@@ -305,7 +305,7 @@ def game_from_json(obj: dict) -> tuple[RankOneGame, GamePurification | None]:
     """The game of a game file, and its purification if embedded; malformed
     content raises GameError."""
     try:
-        d_a, d_b = int(obj["dA"]), int(obj["dB"])
+        d_a, d_b = la.json_int(obj["dA"]), la.json_int(obj["dB"])
         if min(d_a, d_b) < 1:
             raise GameError(f"dA and dB must be at least 1, not {d_a} and {d_b}")
         g = RankOneGame(d_a, d_b, la.matrix_from_json(obj["M"]))
@@ -333,7 +333,7 @@ def purification_to_json(p: GamePurification) -> dict:
 def purification_from_json(obj: dict) -> GamePurification:
     try:
         return GamePurification(
-            int(obj["dA"]), int(obj["dB"]), int(obj["dC"]),
+            *(la.json_int(obj[k]) for k in ("dA", "dB", "dC")),
             la.vector_from_json(obj["psi"]), la.vector_from_json(obj["gamma"]))
     except KeyError as exc:
         raise GameError(f"purification JSON is missing key {exc}") from exc

@@ -89,8 +89,15 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def json_int(x) -> int:
+    """x if it is a JSON integer; a bool, float or string raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer dimension, not {x!r}")
+    return x
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = json_int(obj["rows"]), json_int(obj["cols"])
     data = obj["data"]
     if len(data) != rows * cols:
         raise DimensionMismatchError("matrix JSON: data length != rows*cols")

@@ -29,7 +29,7 @@ variables for their Kronecker sum, and two gathers per pair for the basis
 change, so no block-sized matrix per parameter is kept.
 Every ``optimal`` exit carries a dual certificate: the returned primal and
 dual values bracket the optimum and their gap is at most the requested
-tolerance.
+tolerance.  Each status is decided once, in the loop that every program runs.
 """
 
 from __future__ import annotations
@@ -134,10 +134,9 @@ class SdpSolution:
     gap: float
     assignments: dict[str, np.ndarray]
     iterations: int
-    tol: float
-    residuals: dict = field(default_factory=dict)
+    residuals: dict
     # complex Hermitian dual matrix of each PSD constraint, in problem order
-    dual_blocks: list[np.ndarray] = field(default_factory=list)
+    dual_blocks: list[np.ndarray]
 
 
 # -- parameter maps ------------------------------------------------------------
@@ -573,43 +572,35 @@ def _frobenius(a):
     return np.sqrt(2.0) * np.linalg.norm(a)
 
 
-def _solve_lmi(lmi: _CompiledLmi, tol, max_iters):
+def _solve_lmi(lmi: _CompiledLmi, names, tol, max_iters) -> SdpSolution:
     """Interior-point loop on: maximize g.z s.t. F0_c + sum z_j G_cj >= 0,
     with z the variables' parameter vector.
 
     Dual: minimize sum_c Re tr(F0_c X_c) s.t. sum_c Re tr(G_cj X_c) = -g_j,
     X_c >= 0.  Iterates are complex Hermitian blocks of their native side.
-    Returns (status, z, x_blocks, pobj, dobj, iterations, residuals).
+    ``names`` are the variables' names, in order, for the assignments.
     """
     g = lmi.g
-    m = g.size
     blocks_f0 = [blk.constant for blk in lmi.blocks]
     sides = [f0.shape[0] for f0 in blocks_f0]
     n_tot = sum(sides)
     eyes = [np.eye(s, dtype=complex) for s in sides]
 
     data_scale = max(
-        [1.0, float(np.max(np.abs(g))) if m else 1.0]
+        [1.0, float(np.max(np.abs(g))) if g.size else 1.0]
         + [float(np.linalg.norm(f0, 2)) for f0 in blocks_f0])
-
-    if m == 0:
-        lam_min = min(float(np.linalg.eigvalsh(f0)[0]) for f0 in blocks_f0)
-        status = "optimal" if lam_min >= -DEFAULT_FEAS_TOL * data_scale else "infeasible"
-        return (status, np.zeros(0), [np.zeros_like(e) for e in eyes], 0.0, 0.0, 0,
-                {"primal": 0.0, "dual": 0.0, "min_eig": lam_min})
 
     # S = tau I and X = 2 tau I: the image of the start tau I of the real
     # embedding, whose trace pairing doubles the Hermitian one
     tau = data_scale
-    z = np.zeros(m)
+    z = np.zeros(g.size)
     s_blk = [tau * e for e in eyes]
     x_blk = [2.0 * tau * e for e in eyes]
 
     s_chol = [_cholesky(s) for s in s_blk]
     x_chol = [_cholesky(x) for x in x_blk]
 
-    status = "max-iters"
-    it = 0
+    status, it = "max-iters", 0
     pobj = dobj = 0.0
     prim_res = dual_res = np.inf
     for it in range(1, max_iters + 1):
@@ -624,7 +615,9 @@ def _solve_lmi(lmi: _CompiledLmi, tol, max_iters):
         dual_res = float(np.linalg.norm(r_d)) / (1.0 + data_scale)
         gap_abs = abs(pobj - dobj)
 
-        # gap measured against the user-facing objective magnitudes
+        # gap measured against the user-facing objective magnitudes.  At an optimal
+        # z, F0 + G(z) = S + r_p with S Cholesky-factored or clipped PD, so its least
+        # eigenvalue is >= -|r_p|_2 >= -DEFAULT_FEAS_TOL (1 + data_scale) / sqrt 2
         gap_scale = max(1.0, abs(pobj), abs(dobj))
         feasible = prim_res <= DEFAULT_FEAS_TOL and dual_res <= DEFAULT_FEAS_TOL
         if gap_abs <= tol * gap_scale and feasible:
@@ -700,12 +693,12 @@ def _solve_lmi(lmi: _CompiledLmi, tol, max_iters):
         s_blk, s_chol = zip(*[_make_pd(s + a_d * d) for s, d in zip(s_blk, ds)])
         x_blk, x_chol = zip(*[_make_pd(x + a_p * d) for x, d in zip(x_blk, dx)])
 
-    min_eig = min(float(np.linalg.eigvalsh(f0 + gz)[0])
-                  for f0, gz in zip(blocks_f0, lmi.apply(z)))
-    if status == "optimal" and min_eig < -10.0 * DEFAULT_FEAS_TOL * data_scale:
-        status = "max-iters"
-    residuals = {"primal": float(prim_res), "dual": float(dual_res), "min_eig": min_eig}
-    return status, z, list(x_blk), pobj, dobj, it, residuals
+    primal, dual = lmi.sense * pobj, lmi.sense * dobj
+    return SdpSolution(status=status, primal_value=float(primal), dual_value=float(dual),
+                       gap=float(abs(primal - dual)), iterations=it,
+                       assignments={name: lmi.variable(z, v) for v, name in enumerate(names)},
+                       residuals={"primal": float(prim_res), "dual": float(dual_res)},
+                       dual_blocks=list(x_blk))
 
 
 def _pair(a, b):
@@ -735,8 +728,7 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     - ``optimal``: certified, as below;
     - ``infeasible`` / ``unbounded``: a normalized divergence certificate
       was found;
-    - ``max-iters``: ``max_iters`` iterations ran without certifying, or
-      the final point failed the eigenvalue check below;
+    - ``max-iters``: ``max_iters`` iterations ran without certifying;
     - ``stalled``: the slack S left the PSD cone, so no scaling exists;
     - ``singular``: the Schur complement stayed singular after six
       growing diagonal jitters;
@@ -746,28 +738,13 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     Problem data that are not finite, and a ``tol`` that is not positive
     and finite, raise ``SdpError`` before any iteration.  On status
     ``optimal`` the primal and dual values are within ``tol`` of each other
-    (relative to max(1, values)), and every PSD block has minimum
-    eigenvalue >= -10*DEFAULT_FEAS_TOL at the returned point.
+    (relative to max(1, values)), and every PSD block at the returned point
+    has least eigenvalue >= -DEFAULT_FEAS_TOL (1 + scale) / sqrt 2 up to
+    rounding, by the stopping test; scale is the largest of 1, |g_j| and |F0_c|.
     ``dual_blocks`` holds the Hermitian PSD dual matrix X_c of each PSD
     constraint, and the dual value is sum_c Re tr(F0_c X_c) for a
     maximization and its negation for a minimization.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise SdpError(f"tol must be positive and finite, not {tol!r}")
-    lmi = _compile(problem)
-    status, z, x_blk, pobj, dobj, iters, residuals = _solve_lmi(lmi, tol, max_iters)
-
-    assignments = {var.name: lmi.variable(z, v) for v, var in enumerate(problem.variables)}
-    primal = lmi.sense * pobj
-    dual = lmi.sense * dobj
-    return SdpSolution(
-        status=status,
-        primal_value=float(primal),
-        dual_value=float(dual),
-        gap=float(abs(primal - dual)),
-        assignments=assignments,
-        iterations=iters,
-        tol=tol,
-        residuals=residuals,
-        dual_blocks=x_blk,
-    )
+    return _solve_lmi(_compile(problem), [v.name for v in problem.variables], tol, max_iters)

@@ -307,12 +307,12 @@ def strategy_from_json(obj: dict):
         kind = obj.get("kind")
         if kind == "entangled":
             return EntangledStrategy(
-                int(obj["dAp"]), int(obj["dBp"]),
+                la.json_int(obj["dAp"]), la.json_int(obj["dBp"]),
                 la.matrix_from_json(obj["U"]), la.matrix_from_json(obj["V"]),
                 la.vector_from_json(obj["phi"]))
         if kind == "oneway":
             return OneWayStrategy(
-                int(obj["dAp"]), la.matrix_from_json(obj["U"]), la.matrix_from_json(obj["V"]))
+                la.json_int(obj["dAp"]), la.matrix_from_json(obj["U"]), la.matrix_from_json(obj["V"]))
     except KeyError as exc:
         raise StrategyError(f"strategy JSON is missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:

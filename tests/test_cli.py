@@ -222,6 +222,14 @@ def malformed_game(case):
     elif case == "negative-dims":
         del obj["purification"]
         obj["dA"] = obj["dB"] = -2
+    elif case == "fractional-dA":
+        obj["dA"] = 2.9
+    elif case == "string-dA":
+        obj["dA"] = "2"
+    elif case == "fractional-dC":
+        obj["purification"]["dC"] = 2.5
+    elif case == "fractional-rows":
+        obj["M"]["rows"] = 4.5
     return json.dumps(obj)
 
 
@@ -236,7 +244,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("case", ["wrong-side", "nan-entry", "top-level-list",
                                       "non-integer-dA", "short-purification-entry",
-                                      "negative-dims"])
+                                      "negative-dims", "fractional-dA", "string-dA",
+                                      "fractional-dC", "fractional-rows"])
     def test_game_file(self, case, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(malformed_game(case))
@@ -248,15 +257,19 @@ class TestMalformedInput:
         self.assert_refused(capsys, "value", "--game", str(path), "--which", "V")
 
     @pytest.mark.parametrize("case", ["missing-key", "invalid-json", "wrong-side-U",
-                                      "top-level-list"])
+                                      "top-level-list", "fractional-dAp"])
     def test_strategy_file(self, case, tmp_path, capsys):
         from rankonegames import strategies as st
         path = tmp_path / "gc2.json"
         run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
         n = 3 if case == "wrong-side-U" else 2
-        obj = st.strategy_to_json(st.named_strategy("gc-oneway-flip", n))
+        # the identity strategy has trivial ancillas, so 1.5 would truncate to a fit
+        name = "identity" if case == "fractional-dAp" else "gc-oneway-flip"
+        obj = st.strategy_to_json(st.named_strategy(name, n))
         if case == "missing-key":
             del obj["U"]
+        elif case == "fractional-dAp":
+            obj["dAp"] = 1.5
         text = {"invalid-json": "{", "top-level-list": "[1, 2]"}.get(case, json.dumps(obj))
         spath = tmp_path / "strategy.json"
         spath.write_text(text)
@@ -312,6 +325,25 @@ class TestRepeat:
                            "--out", str(out2))
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("family,n,k,refused", [("gc", 1, 5, True), ("gcr", 1, 5, True),
+                                                    ("gc", 2, 2, False)])
+    def test_power_checked_against_cap(self, family, n, k, refused, tmp_path, capsys,
+                                       monkeypatch):
+        # a 1x1 game never outgrows the side cap and gcr1's referee register
+        # doubles with each factor, so both are refused by k and d_C
+        path = tmp_path / "game.json"
+        run(capsys, "make", "--family", family, "--n", str(n), "--out", str(path))
+        monkeypatch.setattr(games, "DEFAULT_SIDE_CAP", 16)
+        out = tmp_path / "power.json"
+        code, stdout, err = run(capsys, "repeat", "--game", str(path), "--k", str(k),
+                                "--out", str(out), "--which", "V")
+        if refused:
+            assert code == 1 and stdout == ""
+            assert err.startswith("usage error:") and "cap 16" in err
+            assert not out.exists()
+        else:
+            assert code == 0 and out.exists()
 
     def test_bad_k_checked_before_reading(self, tmp_path, capsys):
         out = tmp_path / "x.json"

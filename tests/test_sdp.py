@@ -158,12 +158,24 @@ class TestStatuses:
         assert sol.status != "optimal"
         assert sol.status == "unbounded"
 
-    def test_no_variables(self):
+    @pytest.mark.parametrize("constants,max_iters,status", [
+        ([np.eye(2)], 200, "optimal"),
+        ([np.diag([1.0, 0.0])], 200, "optimal"),
+        ([-np.eye(2)], 200, "infeasible"),
+        ([np.array([[1.0, 2.0], [2.0, 1.0]])], 200, "infeasible"),
+        ([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])], 200, "infeasible"),
+        ([np.eye(2)], 0, "max-iters"),
+    ], ids=["identity", "singular-psd", "negative", "indefinite", "psd-and-indefinite",
+            "zero-iterations"])
+    def test_no_variables(self, constants, max_iters, status):
+        # a program without parameters runs the same loop as any other
         p = sdp.SdpProblem(variables=[], objective={},
-                           psd_constraints=[sdp.PsdConstraint(np.eye(2))])
-        assert sdp.solve(p).status == "optimal"
-        p.psd_constraints[0].constant = -np.eye(2)
-        assert sdp.solve(p).status == "infeasible"
+                           psd_constraints=[sdp.PsdConstraint(c) for c in constants])
+        sol = sdp.solve(p, max_iters=max_iters)
+        assert sol.status == status
+        assert sol.assignments == {}
+        if max_iters == 0:
+            assert sol.iterations == 0
 
     @pytest.mark.parametrize("status", ["singular", "stalled", "numerical-error"])
     def test_early_exit(self, status, monkeypatch):
@@ -479,6 +491,36 @@ class TestBlockOperator:
         scale = (sum(np.linalg.norm(a) * np.linalg.norm(m) for a, m in zip(applied, mats))
                  + np.linalg.norm(z) * np.linalg.norm(adj))
         assert abs(lhs - z @ adj) <= 1e-12 * scale
+
+
+def stopping_programs():
+    out = dict(schur_programs())
+    for seed, d in [(51, 2), (52, 2), (53, 3)]:
+        g = random_game(d, d, 1.0, np.random.default_rng(seed))
+        out[f"qow-{seed}"] = values.haagerup_pairing_program(g)
+        out[f"mu-{seed}"] = values.mu_pairing_program(g)
+    return out
+
+
+# "mixed" is unbounded, so it has no optimal point
+@pytest.mark.parametrize("name", [n for n in PROGRAMS if n != "mixed"]
+                         + [f"{w}-{seed}" for seed in (51, 52, 53) for w in ("qow", "mu")])
+def test_optimal_point_meets_the_stopping_bound(name):
+    """An optimal point is PSD in every block to within the primal residual
+    that the stopping test allows, DEFAULT_FEAS_TOL (1 + scale) / sqrt 2, less
+    a factor sqrt 2 kept for rounding; the blocks are formed densely from the
+    assignments."""
+    problem = stopping_programs()[name]
+    sol = sdp.solve(problem)
+    assert sol.status == "optimal"
+    g = [np.vdot(problem.objective[v.name], h).real for v in problem.variables
+         if v.name in problem.objective for h in dense_basis(sdp.basis_map(v))]
+    scale = max([1.0, *np.abs(g)] + [np.linalg.norm(con.constant, 2)
+                                     for con in problem.psd_constraints])
+    for con in problem.psd_constraints:
+        block = con.constant + sum((t.sign * t.left @ sol.assignments[t.var] @ t.left.conj().T
+                                    for t in con.terms), np.zeros(con.constant.shape))
+        assert np.linalg.eigvalsh(block)[0] >= -sdp.DEFAULT_FEAS_TOL * (1.0 + scale)
 
 
 class TestLowerInverse:
