@@ -9,7 +9,7 @@ translated here once and pinned by tests against their explicit entries.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,23 +30,22 @@ class GameError(ValueError):
 class RankOneGame:
     """M in S1(H_A) (x) S1(H_B) with trace norm at most one.
 
-    ``check=False`` skips the trace-norm validation (an SVD); it is for
-    constructors that guarantee the budget structurally, e.g. Schur games
-    whose multiplier was already validated.
+    The trace norm is taken on the support of M, the submatrix of its
+    nonzero rows and columns, which has the same nonzero singular values:
+    a Schur game's check is an SVD of the multiplier's side.
     """
 
     d_a: int
     d_b: int
     m: np.ndarray
-    check: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
         m = la.as_matrix(self.m, self.d_a * self.d_b, self.d_a * self.d_b)
         object.__setattr__(self, "m", m)
-        if self.check:
-            tn = la.trace_norm(m)
-            if tn > 1.0 + TRACE_NORM_SLACK:
-                raise GameError(f"trace norm {tn} exceeds the unit budget")
+        nonzero = m != 0
+        tn = la.trace_norm(m[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))])
+        if tn > 1.0 + TRACE_NORM_SLACK:
+            raise GameError(f"trace norm {tn} exceeds the unit budget")
 
 
 @dataclass(frozen=True)
@@ -180,13 +179,12 @@ def schur_game(s: SchurMatrix) -> tuple[RankOneGame, GamePurification]:
     diag = np.arange(n) * (n + 1)  # flat index of |i>|i>
     m = np.zeros((n * n, n * n), dtype=complex)
     m[np.ix_(diag, diag)] = s.phi
-    p = purify(RankOneGame(n, 1, s.phi, check=False))
+    p = purify(RankOneGame(n, 1, s.phi))
     psi = np.zeros((n * n, p.d_c), dtype=complex)
     gamma = np.zeros((n * n, p.d_c), dtype=complex)
     psi[diag] = p.psi.reshape(n, p.d_c)
     gamma[diag] = p.gamma.reshape(n, p.d_c)
-    # the game's trace norm equals the multiplier's, already validated
-    return RankOneGame(n, n, m, check=False), GamePurification(n, n, p.d_c, psi, gamma)
+    return RankOneGame(n, n, m), GamePurification(n, n, p.d_c, psi, gamma)
 
 
 def is_schur(g: RankOneGame, tol: float = 1e-10):

@@ -14,19 +14,23 @@ The solver is Mehrotra's predictor-corrector primal-dual interior-point
 method with Nesterov-Todd scaling (Mehrotra, SIAM J. Optim. 2, 1992; Todd,
 Toh & Tutuncu, SIAM J. Optim. 8, 1998): the predictor's affine direction
 fixes the centering parameter, and the corrector adds the predictor's
-second-order term in the scaled space.  It iterates on complex Hermitian
-blocks of their native side.  Each variable's real parameters reach its
-matrix through a sparse map with at most two entries per parameter.  Each
+second-order term in the scaled space.  Several PSD constraints are one
+PSD constraint on their block-diagonal sum (Vandenberghe & Boyd, SIAM
+Review 38, 1996), so every program is compiled to one complex Hermitian
+block that holds its constraints on the diagonal, and the method iterates
+on single matrices of that side.  Each variable's real parameters reach its
+matrix through a sparse map with at most two entries per parameter.  The
 block is compiled once into a flat operator: the factors A and +-A of all
-its terms, padded to the block's largest variable side and stacked, and
-one index plan that scatters the parameters into per-term copies of their
-variables.  The map is then one scatter, one batched matmul and one matmul
-per block, and its adjoint reads the same plan backwards.  The Schur
-complement is assembled from the same factors, as in the sparsity
-exploitation of Fujisawa, Kojima & Nakata (Math. Programming 79, 1997):
-one matmul per block for all the products +-A^dagger W A, one per pair of
-variables for their Kronecker sum, and two gathers per pair for the basis
-change, so no block-sized matrix per parameter is kept.
+terms, each zero outside its own constraint's rows, padded to the largest
+variable side and stacked, and one index plan that scatters the parameters
+into per-term copies of their variables.  The map is then one scatter, one
+batched matmul and one matmul, and its adjoint reads the same plan
+backwards.  The Schur complement is assembled from the same factors, as in
+the sparsity exploitation of Fujisawa, Kojima & Nakata (Math. Programming
+79, 1997): one matmul for all the products +-A^dagger W A, one per pair of
+variables that share a constraint for their Kronecker sum, and two gathers
+per pair for the basis change, so no block-sized matrix per parameter is
+kept, and pairs that share no constraint keep a zero Schur block.
 Every ``optimal`` exit carries a dual certificate: the returned primal and
 dual values bracket the optimum and their gap is at most the requested
 tolerance.  Each status is decided once, in the loop that every program runs.
@@ -202,38 +206,13 @@ def _herm(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _BlockVar:
-    """The terms of one variable in one block: the block receives
-    sum_t s_t A_t X A_t^dagger over ``count`` consecutive terms of the block's
-    stacks, whose live factor columns are ``cols``."""
-    var: int
+class _VarTerms:
+    """The terms of one variable: the block receives sum_t s_t A_t X A_t^dagger
+    over ``count`` consecutive terms of the stacks, whose live factor columns
+    are ``cols``."""
     side: int
     count: int
     cols: slice
-
-
-@dataclass
-class _Block:
-    """One PSD block as a flat operator.
-
-    Term t of the block, of variable v and sign s_t, has A_t and
-    B_t^dagger = s_t A_t^dagger padded with zeros to the block's largest
-    variable side D; a map of such terms is Hermitian-valued, as the Schur
-    gather of ``_pair_plan`` needs.  ``scatter``, ``param`` and
-    ``coef`` map parameters into the real view of the stack of per-term
-    variable copies X_t (T, D, D): entry ``scatter[k]`` receives
-    ``coef[k] * y[param[k]]``.  The same plan read backwards gives the
-    adjoint's traces, since Re tr(H_j Y) is the real inner product of H_j
-    and Y for Hermitian H_j.
-    """
-    constant: np.ndarray     # F0, Hermitian
-    parts: list[_BlockVar]   # one per variable, in variable order
-    left_cat: np.ndarray     # [A_1 ... A_T] padded, side x (T D)
-    right_h: np.ndarray      # B_t^dagger padded, (T, D, side)
-    live: np.ndarray         # the columns of left_cat that are not padding
-    scatter: np.ndarray
-    param: np.ndarray
-    coef: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -258,16 +237,35 @@ class _PairPlan:
 
 @dataclass
 class _CompiledLmi:
-    """maximize g.y subject to F0_c + sum_j y_j G_cj >= 0 per block.
+    """maximize g.y subject to F0 + sum_j y_j G_j >= 0, one Hermitian block.
 
-    Parameter j of variable v sits at ``offsets[v] + j`` of y, and
-    G_cj = sum_t s_t A_t H_j A_t^dagger over the terms of v in block c, with H_j
-    the basis of ``maps[v]``.  Each block carries its padded term stacks and
-    parameter plan (``_Block``), and ``pairs`` the Schur basis change of
-    every pair of variables that share a block.
+    PSD constraint c is the diagonal block ``slices[c]``: F0 is zero off
+    those blocks, and each term's factor A_t is zero outside its own
+    constraint's rows.  Parameter j of variable v sits at ``offsets[v] + j``
+    of y, and G_j = sum_t s_t A_t H_j A_t^dagger over the terms of v, with
+    H_j the basis of ``maps[v]``.
+
+    Term t, of sign s_t, has A_t and B_t^dagger = s_t A_t^dagger padded with
+    zeros to the largest variable side D; a map of such terms is
+    Hermitian-valued, as the Schur gather of ``_pair_plan`` needs.
+    ``scatter``, ``param`` and ``coef`` map parameters into the real view
+    of the stack of per-term variable copies X_t (T, D, D): entry
+    ``scatter[k]`` receives ``coef[k] * y[param[k]]``.  The same plan read
+    backwards gives the adjoint's traces, since Re tr(H_j Y) is the real
+    inner product of H_j and Y for Hermitian H_j.  ``parts`` locates each
+    variable's terms, and ``pairs`` holds the Schur basis change of every
+    pair of variables that share a constraint.
     """
     g: np.ndarray
-    blocks: list[_Block]
+    constant: np.ndarray            # F0, Hermitian and block-diagonal
+    slices: list[slice]             # the rows of each PSD constraint
+    parts: dict[int, _VarTerms]     # by variable, for the variables with terms
+    left_cat: np.ndarray            # [A_1 ... A_T] padded, side x (T D)
+    right_h: np.ndarray             # B_t^dagger padded, (T, D, side)
+    live: np.ndarray                # the columns of left_cat that are not padding
+    scatter: np.ndarray
+    param: np.ndarray
+    coef: np.ndarray
     maps: list[BasisMap]
     offsets: list[int]
     pairs: dict
@@ -277,58 +275,41 @@ class _CompiledLmi:
         """X_v of the parameter vector y."""
         return self.maps[v].matrix(y[self.offsets[v]: self.offsets[v] + self.maps[v].size])
 
-    def apply(self, y: np.ndarray) -> list[np.ndarray]:
-        """sum_j y_j G_cj for every block c: L [X_t B_t^dagger]_t."""
-        out = []
-        for blk in self.blocks:
-            n_terms, d, side = blk.right_h.shape
-            xs = np.bincount(blk.scatter, blk.coef * y[blk.param], minlength=2 * n_terms * d * d)
-            xs = xs.view(complex).reshape(n_terms, d, d)
-            out.append(_herm(blk.left_cat @ (xs @ blk.right_h).reshape(n_terms * d, side)))
-        return out
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """sum_j y_j G_j: L [X_t B_t^dagger]_t."""
+        n_terms, d, side = self.right_h.shape
+        xs = np.bincount(self.scatter, self.coef * y[self.param], minlength=2 * n_terms * d * d)
+        xs = xs.view(complex).reshape(n_terms, d, d)
+        return _herm(self.left_cat @ (xs @ self.right_h).reshape(n_terms * d, side))
 
-    def adjoint(self, mats: list[np.ndarray]) -> np.ndarray:
-        """(sum_c Re tr(G_cj M_c))_j for Hermitian M_c: the traces of
-        B_t^dagger M A_t against the basis, summed by parameter."""
-        y = np.zeros(self.g.size)
-        for blk, mat in zip(self.blocks, mats):
-            n_terms, d, side = blk.right_h.shape
-            ys = blk.right_h @ (mat @ blk.left_cat).reshape(side, n_terms, d).transpose(1, 0, 2)
-            y += np.bincount(blk.param, ys.reshape(-1).view(float)[blk.scatter] * blk.coef,
-                             minlength=y.size)
-        return y
+    def adjoint(self, mat: np.ndarray) -> np.ndarray:
+        """(Re tr(G_j M))_j for Hermitian M: the traces of B_t^dagger M A_t
+        against the basis, summed by parameter."""
+        n_terms, d, side = self.right_h.shape
+        ys = self.right_h @ (mat @ self.left_cat).reshape(side, n_terms, d).transpose(1, 0, 2)
+        return np.bincount(self.param, ys.reshape(-1).view(float)[self.scatter] * self.coef,
+                           minlength=self.g.size)
 
-    def schur(self, w_blk: list[np.ndarray]) -> np.ndarray:
-        """S_ij = sum_c Re tr(G_ci W_c G_cj W_c), assembled from the term factors.
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """S_ij = Re tr(G_i W G_j W), assembled from the term factors.
 
         Writing H_i = sum_ab T[(a,b), i] E_ab splits the trace into
         K[(a,b),(c,d)] = sum_{t,t'} (B_t'^dag W A_t)[d,a] (B_t^dag W A_t')[b,c]
-        for each pair of variables (v, v'), summed over the blocks, and
-        S_vv' = Re(T_v^T K T_v').  All the products B_t^dag W A_t' of a block
-        are one matmul of its live factors.
+        for each pair of variables (v, v') that share a constraint, and
+        S_vv' = Re(T_v^T K T_v'); the blocks of other pairs stay zero.  All
+        the products B_t^dag W A_t' are one matmul of the live factors.
         """
-        kmats = {}
-        for blk, w in zip(self.blocks, w_blk):
-            side = w.shape[0]
-            live_h = blk.right_h.reshape(-1, side)[blk.live]
-            f = live_h @ (w @ blk.left_cat[:, blk.live])      # [(t, b), (t', c)]
-            for i, p in enumerate(blk.parts):
-                for q in blk.parts[i:]:
-                    key = (p.var, q.var)
-                    k = _kron_schur(f, p, q, self.pairs[key])
-                    if key in kmats:
-                        kmats[key] += k
-                    else:
-                        kmats[key] = k
+        side = w.shape[0]
+        live_h = self.right_h.reshape(-1, side)[self.live]
+        f = live_h @ (w @ self.left_cat[:, self.live])      # [(t, b), (t', c)]
         s = np.zeros((self.g.size, self.g.size))
-        for key, k in kmats.items():
-            plan = self.pairs[key]
-            flat = k.reshape(-1)
+        for (v, u), plan in self.pairs.items():
+            flat = _kron_schur(f, self.parts[v], self.parts[u], plan).reshape(-1)
             acc = plan.coefs[0] * flat[plan.rows + plan.cols[0]]
             acc += plan.coefs[1] * flat[plan.rows + plan.cols[1]]
             block = (plan.first[:, None] * acc).real
             rows, cols = plan.at
-            if key[0] == key[1]:
+            if v == u:
                 s[rows, cols] = (block + block.T) / 2.0
             else:
                 s[rows, cols] = block
@@ -336,7 +317,7 @@ class _CompiledLmi:
         return s
 
 
-def _kron_schur(f: np.ndarray, p: _BlockVar, q: _BlockVar, plan: _PairPlan) -> np.ndarray:
+def _kron_schur(f: np.ndarray, p: _VarTerms, q: _VarTerms, plan: _PairPlan) -> np.ndarray:
     """sum_{t of p, t' of q} (B_t'^dag W A_t)[d,a] (B_t^dag W A_t')[b,c], indexed
     [(a,d),(b,c)] over a and b in the plan's ranges, from the products f of
     the block: one matmul over the term pairs."""
@@ -380,61 +361,9 @@ def _objective_row(problem, index, maps, offsets):
     return row
 
 
-def _compile_block(problem, index, maps, offsets, c_idx, con) -> _Block:
-    f0 = np.asarray(con.constant, dtype=complex)
-    if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
-        raise SdpError(f"PSD constant block {c_idx} must be square")
-    side = f0.shape[0]
-    if not np.all(np.isfinite(f0)):
-        raise SdpError(f"PSD constant block {c_idx} is not finite")
-    if np.linalg.norm(f0 - f0.conj().T) > 1e-10 * (1.0 + np.linalg.norm(f0)):
-        raise SdpError(f"PSD constant block {c_idx} is not Hermitian")
-    grouped = {}
-    for t in con.terms:
-        var = problem.variable(t.var)
-        a = np.asarray(t.left, dtype=complex)
-        if a.shape != (side, var.side):
-            raise SdpError(f"term for {t.var!r} in block {c_idx} has wrong shape "
-                           f"(need {side}x{var.side})")
-        if not np.all(np.isfinite(a)):
-            raise SdpError(f"term for {t.var!r} in block {c_idx} is not finite")
-        if not (np.ndim(t.sign) == 0 and t.sign in (1, -1)):
-            raise SdpError(f"term for {t.var!r} in block {c_idx} has a sign other than +1 or -1")
-        grouped.setdefault(index[t.var], []).append((a, t.sign))
-
-    n_terms = sum(len(factors) for factors in grouped.values())
-    d = max((maps[v].side for v in grouped), default=1)
-    left = np.zeros((side, n_terms, d), dtype=complex)
-    right_h = np.zeros((n_terms, d, side), dtype=complex)
-    parts = []
-    live, scatter, param, coef = ([np.zeros(0, dtype=dt)] for dt in (int, int, int, float))
-    t0 = width = 0
-    for v in sorted(grouped):
-        t, factors = maps[v], grouped[v]
-        for k, (a, sign) in enumerate(factors):
-            left[:, t0 + k, : t.side] = a
-            right_h[t0 + k, : t.side] = sign * a.conj().T
-        terms = np.arange(t0, t0 + len(factors))
-        live.append((terms[:, None] * d + np.arange(t.side)).reshape(-1))
-        # entry (t, rows, cols) of the stack of variable copies, as real and imaginary slots
-        entry = (terms[:, None, None] * d + t.rows) * d + t.cols
-        slots = 2 * entry[..., None] + np.arange(2)                       # [t, p, j, re/im]
-        weights = np.broadcast_to(np.stack([t.coefs.real, t.coefs.imag], -1), slots.shape)
-        index_j = np.broadcast_to(offsets[v] + np.arange(t.size)[:, None], slots.shape)
-        keep = weights != 0.0
-        scatter.append(slots[keep])
-        coef.append(weights[keep])
-        param.append(index_j[keep])
-        parts.append(_BlockVar(v, t.side, len(factors), slice(width, width + len(factors) * t.side)))
-        t0 += len(factors)
-        width += len(factors) * t.side
-    cat = np.concatenate
-    return _Block(_herm(f0), parts, left.reshape(side, n_terms * d), right_h,
-                  cat(live), cat(scatter), cat(param), cat(coef))
-
-
 def _compile(problem: SdpProblem) -> _CompiledLmi:
-    """Parameter maps, objective and stacked term factors of every block."""
+    """Parameter maps, objective, and the stacked term factors of the one
+    block that holds every PSD constraint on its diagonal."""
     index = {}
     for i, v in enumerate(problem.variables):
         if v.side <= 0:
@@ -452,22 +381,77 @@ def _compile(problem: SdpProblem) -> _CompiledLmi:
 
     sense = 1.0 if problem.maximize else -1.0
     g = sense * _objective_row(problem, index, maps, offsets)
-
-    blocks = [_compile_block(problem, index, maps, offsets, c_idx, con)
-              for c_idx, con in enumerate(problem.psd_constraints)]
-    if not blocks:
+    if not problem.psd_constraints:
         raise SdpError("problem has no PSD constraints")
-    pairs = {}
-    for blk in blocks:
-        for i, p in enumerate(blk.parts):
-            for q in blk.parts[i:]:
-                v, u = p.var, q.var
+
+    constants, slices, grouped, pairs = [], [], {}, {}
+    top = 0
+    for c_idx, con in enumerate(problem.psd_constraints):
+        f0 = np.asarray(con.constant, dtype=complex)
+        if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
+            raise SdpError(f"PSD constant block {c_idx} must be square")
+        side = f0.shape[0]
+        if not np.all(np.isfinite(f0)):
+            raise SdpError(f"PSD constant block {c_idx} is not finite")
+        if np.linalg.norm(f0 - f0.conj().T) > 1e-10 * (1.0 + np.linalg.norm(f0)):
+            raise SdpError(f"PSD constant block {c_idx} is not Hermitian")
+        rows = slice(top, top + side)
+        top += side
+        for t in con.terms:
+            var = problem.variable(t.var)
+            a = np.asarray(t.left, dtype=complex)
+            if a.shape != (side, var.side):
+                raise SdpError(f"term for {t.var!r} in block {c_idx} has wrong shape "
+                               f"(need {side}x{var.side})")
+            if not np.all(np.isfinite(a)):
+                raise SdpError(f"term for {t.var!r} in block {c_idx} is not finite")
+            if not (np.ndim(t.sign) == 0 and t.sign in (1, -1)):
+                raise SdpError(f"term for {t.var!r} in block {c_idx} has a sign other than +1 or -1")
+            grouped.setdefault(index[t.var], []).append((rows, a, t.sign))
+        present = sorted({index[t.var] for t in con.terms})
+        for i, v in enumerate(present):
+            for u in present[i:]:
                 if (v, u) not in pairs:
                     at = (slice(offsets[v], offsets[v] + sizes[v]),
                           slice(offsets[u], offsets[u] + sizes[u]))
                     pairs[v, u] = _pair_plan(maps[v], maps[u], at)
+        constants.append(_herm(f0))
+        slices.append(rows)
 
-    return _CompiledLmi(g, blocks, maps, offsets, pairs, sense)
+    side = top
+    f0 = np.zeros((side, side), dtype=complex)
+    for rows, c in zip(slices, constants):
+        f0[rows, rows] = c
+    n_terms = sum(len(factors) for factors in grouped.values())
+    d = max((maps[v].side for v in grouped), default=1)
+    left = np.zeros((side, n_terms, d), dtype=complex)
+    right_h = np.zeros((n_terms, d, side), dtype=complex)
+    parts = {}
+    live, scatter, param, coef = ([np.zeros(0, dtype=dt)] for dt in (int, int, int, float))
+    t0 = width = 0
+    for v in sorted(grouped):
+        t, factors = maps[v], grouped[v]
+        for k, (rows, a, sign) in enumerate(factors):
+            left[rows, t0 + k, : t.side] = a
+            right_h[t0 + k, : t.side, rows] = sign * a.conj().T
+        terms = np.arange(t0, t0 + len(factors))
+        live.append((terms[:, None] * d + np.arange(t.side)).reshape(-1))
+        # entry (t, rows, cols) of the stack of variable copies, as real and imaginary slots
+        entry = (terms[:, None, None] * d + t.rows) * d + t.cols
+        slots = 2 * entry[..., None] + np.arange(2)                       # [t, p, j, re/im]
+        weights = np.broadcast_to(np.stack([t.coefs.real, t.coefs.imag], -1), slots.shape)
+        index_j = np.broadcast_to(offsets[v] + np.arange(t.size)[:, None], slots.shape)
+        keep = weights != 0.0
+        scatter.append(slots[keep])
+        coef.append(weights[keep])
+        param.append(index_j[keep])
+        parts[v] = _VarTerms(t.side, len(factors), slice(width, width + len(factors) * t.side))
+        t0 += len(factors)
+        width += len(factors) * t.side
+    cat = np.concatenate
+    return _CompiledLmi(g, f0, slices, parts, left.reshape(side, n_terms * d), right_h,
+                        cat(live), cat(scatter), cat(param), cat(coef), maps, offsets, pairs,
+                        sense)
 
 
 # -- core interior-point iteration -------------------------------------------
@@ -573,45 +557,41 @@ def _frobenius(a):
 
 
 def _solve_lmi(lmi: _CompiledLmi, names, tol, max_iters) -> SdpSolution:
-    """Interior-point loop on: maximize g.z s.t. F0_c + sum z_j G_cj >= 0,
-    with z the variables' parameter vector.
+    """Interior-point loop on: maximize g.z s.t. F0 + sum z_j G_j >= 0, with
+    z the variables' parameter vector.
 
-    Dual: minimize sum_c Re tr(F0_c X_c) s.t. sum_c Re tr(G_cj X_c) = -g_j,
-    X_c >= 0.  Iterates are complex Hermitian blocks of their native side.
-    ``names`` are the variables' names, in order, for the assignments.
+    Dual: minimize Re tr(F0 X) s.t. Re tr(G_j X) = -g_j, X >= 0.  The
+    iterates X, S and W are single complex Hermitian matrices of the block's
+    side; every PSD constraint is one of their diagonal blocks, and its dual
+    matrix is read from X.  ``names`` are the variables' names, in order,
+    for the assignments.
     """
-    g = lmi.g
-    blocks_f0 = [blk.constant for blk in lmi.blocks]
-    sides = [f0.shape[0] for f0 in blocks_f0]
-    n_tot = sum(sides)
-    eyes = [np.eye(s, dtype=complex) for s in sides]
+    g, f0 = lmi.g, lmi.constant
+    n = f0.shape[0]
+    eye = np.eye(n, dtype=complex)
 
-    data_scale = max(
-        [1.0, float(np.max(np.abs(g))) if g.size else 1.0]
-        + [float(np.linalg.norm(f0, 2)) for f0 in blocks_f0])
+    data_scale = max(1.0, float(np.max(np.abs(g))) if g.size else 1.0,
+                     float(np.linalg.norm(f0, 2)))
 
     # S = tau I and X = 2 tau I: the image of the start tau I of the real
     # embedding, whose trace pairing doubles the Hermitian one
     tau = data_scale
     z = np.zeros(g.size)
-    s_blk = [tau * e for e in eyes]
-    x_blk = [2.0 * tau * e for e in eyes]
-
-    s_chol = [_cholesky(s) for s in s_blk]
-    x_chol = [_cholesky(x) for x in x_blk]
+    s, x = tau * eye, 2.0 * tau * eye
+    s_chol, x_chol = _cholesky(s), _cholesky(x)
 
     status, it = "max-iters", 0
     pobj = dobj = 0.0
     prim_res = dual_res = np.inf
     for it in range(1, max_iters + 1):
         # residuals
-        r_p = [f0 + gz - s for f0, gz, s in zip(blocks_f0, lmi.apply(z), s_blk)]
-        r_d = -g - lmi.adjoint(x_blk)
+        r_p = f0 + lmi.apply(z) - s
+        r_d = -g - lmi.adjoint(x)
 
-        nu = sum(_pair(x, s) for x, s in zip(x_blk, s_blk)) / n_tot
+        nu = _pair(x, s) / n
         pobj = float(g @ z)
-        dobj = sum(_pair(f0, x) for f0, x in zip(blocks_f0, x_blk))
-        prim_res = max(_frobenius(r) for r in r_p) / (1.0 + data_scale)
+        dobj = _pair(f0, x)
+        prim_res = _frobenius(r_p) / (1.0 + data_scale)
         dual_res = float(np.linalg.norm(r_d)) / (1.0 + data_scale)
         gap_abs = abs(pobj - dobj)
 
@@ -625,18 +605,16 @@ def _solve_lmi(lmi: _CompiledLmi, names, tol, max_iters) -> SdpSolution:
             break
 
         # divergence: normalized Farkas-type certificates
-        xnorm = sum(float(np.trace(x).real) for x in x_blk)
+        xnorm = float(np.trace(x).real)
         if xnorm > 1e7 * data_scale:
-            viol = np.linalg.norm(lmi.adjoint([x / xnorm for x in x_blk]))
-            f0x = sum(_pair(f0, x) for f0, x in zip(blocks_f0, x_blk)) / xnorm
-            if viol <= 1e-6 and f0x < -1e-9:
+            viol = np.linalg.norm(lmi.adjoint(x / xnorm))
+            if viol <= 1e-6 and _pair(f0, x) / xnorm < -1e-9:
                 status = "infeasible"
                 break
         znorm = float(np.linalg.norm(z))
         if znorm > 1e7 * data_scale:
             zhat = z / znorm
-            lam = min(float(np.linalg.eigvalsh(gz)[0]) for gz in lmi.apply(zhat))
-            if lam >= -1e-9 and float(g @ zhat) > 1e-9:
+            if np.linalg.eigvalsh(lmi.apply(zhat))[0] >= -1e-9 and float(g @ zhat) > 1e-9:
                 status = "unbounded"
                 break
         if not (np.isfinite(nu) and nu > 0 and np.isfinite(pobj) and np.isfinite(dobj)):
@@ -644,61 +622,55 @@ def _solve_lmi(lmi: _CompiledLmi, names, tol, max_iters) -> SdpSolution:
             break
 
         # NT scaling and Schur complement (shared by predictor and corrector);
-        # the Cholesky factor of each block, taken when the iterate was made PD,
-        # serves W, S^-1 and the step lengths
-        if any(c is None for c in s_chol):
+        # the Cholesky factor of S, taken when the iterate was made PD, serves
+        # W, S^-1 and the step lengths
+        if s_chol is None:
             status = "stalled"  # S left the cone; no scaling exists
             break
-        w_blk, g_hat, d_blk = zip(*[_nt_scaling(x, c) for x, c in zip(x_blk, s_chol)])
-        schur = lmi.schur(w_blk)
+        w, g_hat, d = _nt_scaling(x, s_chol)
+        schur = lmi.schur(w)
         schur_chol = _factor_schur(schur)
         if schur_chol is None:
             status = "singular"
             break
         schur_li = schur_chol[1]
 
-        w_rp = [w @ r @ w for w, r in zip(w_blk, r_p)]
+        w_rp = w @ r_p @ w
 
         def newton(centre):
-            # centre: each block's complementarity target, X + dX + W dS W
-            rhs = g + lmi.adjoint([c - t for c, t in zip(centre, w_rp)])
+            # centre: the complementarity target, X + dX + W dS W
+            rhs = g + lmi.adjoint(centre - w_rp)
             dz = schur_li.T @ (schur_li @ rhs)
             # one step of iterative refinement against the unjittered complement
             # keeps the dual residual down when the complement is ill-conditioned
             dz += schur_li.T @ (schur_li @ (rhs - schur @ dz))
             # a sum of exactly Hermitian matrices is exactly Hermitian
-            ds = [gd + r for gd, r in zip(lmi.apply(dz), r_p)]
-            dx = [_herm(c - x - w @ d @ w) for c, x, w, d in zip(centre, x_blk, w_blk, ds)]
-            return dz, ds, dx
+            ds = lmi.apply(dz) + r_p
+            return dz, ds, _herm(centre - x - w @ ds @ w)
 
         # the predictor fixes the centering parameter and the second-order term
-        _, ds_a, dx_a = newton([0.0] * len(x_blk))
-        corr, p_steps, d_steps = zip(*[_second_order(gh, d, ds)
-                                       for gh, d, ds in zip(g_hat, d_blk, ds_a)])
-        a_p = min([1.0, *p_steps])
-        a_d = min([1.0, *d_steps])
-        nu_aff = sum(
-            _pair(x + a_p * dx, s + a_d * ds)
-            for x, dx, s, ds in zip(x_blk, dx_a, s_blk, ds_a)) / n_tot
+        _, ds_a, dx_a = newton(0.0)
+        corr, p_step, d_step = _second_order(g_hat, d, ds_a)
+        a_p, a_d = min(1.0, p_step), min(1.0, d_step)
+        nu_aff = _pair(x + a_p * dx_a, s + a_d * ds_a) / n
         sigma = float(np.clip((max(nu_aff, 0.0) / nu) ** 3, 1e-8, 0.999))
 
         # the corrector aims at sigma nu S^-1 less the predictor's second-order term
-        dz, ds, dx = newton([sigma * nu * (li.conj().T @ li) - c
-                             for (_, li), c in zip(s_chol, corr)])
-        a_p = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(c, d) for c, d in zip(x_chol, dx)])
-        a_d = STEP_FRACTION * min([1.0 / STEP_FRACTION] + [_max_step(c, d) for c, d in zip(s_chol, ds)])
-        a_p, a_d = min(a_p, 1.0), min(a_d, 1.0)
+        li = s_chol[1]
+        dz, ds, dx = newton(sigma * nu * (li.conj().T @ li) - corr)
+        a_p = min(1.0, STEP_FRACTION * _max_step(x_chol, dx))
+        a_d = min(1.0, STEP_FRACTION * _max_step(s_chol, ds))
 
         z = z + a_d * dz
-        s_blk, s_chol = zip(*[_make_pd(s + a_d * d) for s, d in zip(s_blk, ds)])
-        x_blk, x_chol = zip(*[_make_pd(x + a_p * d) for x, d in zip(x_blk, dx)])
+        s, s_chol = _make_pd(s + a_d * ds)
+        x, x_chol = _make_pd(x + a_p * dx)
 
     primal, dual = lmi.sense * pobj, lmi.sense * dobj
     return SdpSolution(status=status, primal_value=float(primal), dual_value=float(dual),
                        gap=float(abs(primal - dual)), iterations=it,
                        assignments={name: lmi.variable(z, v) for v, name in enumerate(names)},
                        residuals={"primal": float(prim_res), "dual": float(dual_res)},
-                       dual_blocks=list(x_blk))
+                       dual_blocks=[x[rows, rows] for rows in lmi.slices])
 
 
 def _pair(a, b):
@@ -738,12 +710,14 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     Problem data that are not finite, and a ``tol`` that is not positive
     and finite, raise ``SdpError`` before any iteration.  On status
     ``optimal`` the primal and dual values are within ``tol`` of each other
-    (relative to max(1, values)), and every PSD block at the returned point
-    has least eigenvalue >= -DEFAULT_FEAS_TOL (1 + scale) / sqrt 2 up to
-    rounding, by the stopping test; scale is the largest of 1, |g_j| and |F0_c|.
+    (relative to max(1, values)), and the block-diagonal sum of the PSD
+    constraints at the returned point has least eigenvalue
+    >= -DEFAULT_FEAS_TOL (1 + scale) / sqrt 2 up to rounding, by the
+    stopping test; scale is the largest of 1, |g_j| and |F0|_2.
     ``dual_blocks`` holds the Hermitian PSD dual matrix X_c of each PSD
-    constraint, and the dual value is sum_c Re tr(F0_c X_c) for a
-    maximization and its negation for a minimization.
+    constraint, the diagonal block of the solver's one X, and the dual
+    value is sum_c Re tr(F0_c X_c) for a maximization and its negation for
+    a minimization.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise SdpError(f"tol must be positive and finite, not {tol!r}")

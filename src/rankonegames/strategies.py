@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .games import RankOneGame
+from .games import TRACE_NORM_SLACK, RankOneGame
 
 UNITARITY_TOL = 1e-9
 PROB_SLACK = 1e-12
@@ -73,9 +73,13 @@ class OneWayStrategy:
 
 
 def _accepted(out: np.ndarray) -> float:
-    """The squared norm of the referee's accepted branch, clamped to 1 + PROB_SLACK."""
+    """The squared norm of the referee's accepted branch, clamped to 1 + PROB_SLACK.
+
+    A valid game has trace norm up to 1 + TRACE_NORM_SLACK, so valid play
+    may win with up to its square; only more than that square plus 1e-9 of
+    rounding is refused."""
     w = float(np.linalg.norm(out) ** 2)
-    if w > 1.0 + 1e-9:
+    if w > (1.0 + TRACE_NORM_SLACK) ** 2 + 1e-9:
         raise StrategyError(f"win probability {w} exceeds one; inconsistent inputs")
     return min(w, 1.0 + PROB_SLACK)
 

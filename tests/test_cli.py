@@ -85,6 +85,17 @@ class TestValue:
             assert code == 0
             assert abs(json.loads(out)["value"]) <= tol
 
+    @pytest.mark.parametrize("argv", [["simulate", "--strategy", "identity"],
+                                      ["value", "--which", "bracket"]])
+    def test_game_at_the_trace_norm_slack(self, argv, tmp_path, capsys):
+        # a valid game may exceed trace norm one by TRACE_NORM_SLACK, and its
+        # win probabilities by that squared
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"dA": 1, "dB": 1, "M": matrix_to_json(np.array([[1 + 9e-10]]))}))
+        code, out, err = run(capsys, argv[0], "--game", str(path), *argv[1:])
+        assert code == 0 and "error:" not in err
+        json.loads(out)
+
     def test_unreadable_file_is_io_error(self, capsys):
         code, _, err = run(capsys, "value", "--game", "/nonexistent.json", "--which", "V")
         assert code == 2

@@ -96,6 +96,16 @@ class TestPurify:
         with pytest.raises(games.GameError):
             games.RankOneGame(2, 2, np.eye(4))
 
+    def test_overbudget_support_rejected(self):
+        # the trace norm is taken on the nonzero rows and columns only
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m = np.zeros((9, 9), dtype=complex)
+        m[np.ix_([0, 4], [0, 8])] = block * (1.0 + 1e-6) / la.trace_norm(block)
+        with pytest.raises(games.GameError, match="trace norm"):
+            games.RankOneGame(3, 3, m)
+        games.RankOneGame(3, 3, m / (1.0 + 1e-6))
+
 
 class TestFamilies:
     def test_gc2_entries(self):

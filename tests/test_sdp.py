@@ -299,7 +299,7 @@ class TestHermitianData:
         z = rng.standard_normal(lmi.g.size)
         y = lmi.variable(z, 0)
         want = b @ y @ c.conj().T + c @ y @ b.conj().T
-        [got] = lmi.apply(z)
+        got = lmi.apply(z)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -425,6 +425,18 @@ def dense_operator(problem):
     return gmats
 
 
+def block_diagonal(mats):
+    """Per-constraint matrices on the diagonal of one matrix, in constraint
+    order, as the solver's one block holds its PSD constraints."""
+    side = sum(m.shape[0] for m in mats)
+    out = np.zeros((side, side), dtype=complex)
+    at = 0
+    for m in mats:
+        out[at: at + m.shape[0], at: at + m.shape[0]] = m
+        at += m.shape[0]
+    return out
+
+
 def random_blocks(problem, rng):
     """A random Hermitian PD matrix for every PSD block."""
     out = []
@@ -448,9 +460,19 @@ class TestSchurAssembly:
         dense = np.array([[sum(np.trace(gi @ w @ gj @ w).real
                                for gi, gj, w in zip(row, col, w_blk))
                            for col in gmats] for row in gmats])
-        schur = lmi.schur(w_blk)
+        schur = lmi.schur(block_diagonal(w_blk))
         assert schur.shape == dense.shape
         assert np.linalg.norm(schur - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_pairs_that_share_no_constraint_stay_zero(self):
+        # mu's P1, Q1 sit in the plain constraint and P2, Q2 in the transposed one
+        problem = schur_programs()["mu"]
+        lmi = sdp._compile(problem)
+        schur = lmi.schur(block_diagonal(random_blocks(problem, np.random.default_rng(34))))
+        assert [v.name for v in problem.variables[:4]] == ["P1", "Q1", "P2", "Q2"]
+        plain, transposed = slice(0, lmi.offsets[2]), slice(lmi.offsets[2], lmi.offsets[4])
+        assert np.any(schur[plain, plain]) and np.any(schur[transposed, transposed])
+        assert not np.any(schur[plain, transposed]) and not np.any(schur[transposed, plain])
 
 
 class TestBlockOperator:
@@ -466,8 +488,11 @@ class TestBlockOperator:
         gmats = dense_operator(problem)
         dense = [sum(yj * row[c] for yj, row in zip(z, gmats))
                  for c in range(len(problem.psd_constraints))]
-        for got, want in zip(lmi.apply(z), dense):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        got = lmi.apply(z)
+        want = block_diagonal(dense)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for rows, block in zip(lmi.slices, dense):
+            assert np.linalg.norm(got[rows, rows] - block) <= 1e-12 * np.linalg.norm(block)
 
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_adjoint_matches_dense_reference(self, name):
@@ -476,7 +501,8 @@ class TestBlockOperator:
         mats = random_blocks(problem, np.random.default_rng(37))
         dense = np.array([sum(np.trace(g @ m).real for g, m in zip(row, mats))
                           for row in dense_operator(problem)])
-        assert np.linalg.norm(lmi.adjoint(mats) - dense) <= 1e-12 * np.linalg.norm(dense)
+        assert (np.linalg.norm(lmi.adjoint(block_diagonal(mats)) - dense)
+                <= 1e-12 * np.linalg.norm(dense))
 
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_adjoint_identity(self, name):
@@ -485,9 +511,9 @@ class TestBlockOperator:
         rng = np.random.default_rng(38)
         z = rng.standard_normal(lmi.g.size)
         mats = [oracles.random_hermitian(con.constant.shape[0], rng) for con in problem.psd_constraints]
-        applied = lmi.apply(z)
+        applied = [lmi.apply(z)[rows, rows] for rows in lmi.slices]
         lhs = sum(np.trace(a @ m).real for a, m in zip(applied, mats))
-        adj = lmi.adjoint(mats)
+        adj = lmi.adjoint(block_diagonal(mats))
         scale = (sum(np.linalg.norm(a) * np.linalg.norm(m) for a, m in zip(applied, mats))
                  + np.linalg.norm(z) * np.linalg.norm(adj))
         assert abs(lhs - z @ adj) <= 1e-12 * scale
@@ -521,6 +547,24 @@ def test_optimal_point_meets_the_stopping_bound(name):
         block = con.constant + sum((t.sign * t.left @ sol.assignments[t.var] @ t.left.conj().T
                                     for t in con.terms), np.zeros(con.constant.shape))
         assert np.linalg.eigvalsh(block)[0] >= -sdp.DEFAULT_FEAS_TOL * (1.0 + scale)
+
+
+@pytest.mark.parametrize("name", ["mu", "mu-witness", "norm"])
+def test_dual_blocks_are_the_constraints_blocks_of_x(name):
+    """Each dual block has its constraint's side, is Hermitian and PSD to the
+    solver's tolerance, and together they give the dual value."""
+    problem = schur_programs()[name]
+    sol = sdp.solve(problem)
+    assert sol.status == "optimal"
+    assert len(sol.dual_blocks) == len(problem.psd_constraints)
+    for x, con in zip(sol.dual_blocks, problem.psd_constraints):
+        assert x.shape == con.constant.shape
+        assert np.array_equal(x, x.conj().T)
+        assert np.linalg.eigvalsh(x)[0] >= -1e-7
+    sense = 1.0 if problem.maximize else -1.0
+    want = sense * sum(np.trace(con.constant @ x).real
+                       for x, con in zip(sol.dual_blocks, problem.psd_constraints))
+    assert abs(sol.dual_value - want) <= 1e-12 * abs(want)
 
 
 class TestLowerInverse:

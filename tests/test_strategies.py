@@ -55,6 +55,14 @@ class TestWinProbEntangled:
             st.win_prob_entangled(g, st.EntangledStrategy(
                 1, 1, 2.0 * np.eye(2), np.eye(2), np.array([1.0 + 0j])))
 
+    def test_accepted_ceiling_is_the_slack_squared(self):
+        # a valid game's trace norm reaches 1 + TRACE_NORM_SLACK, and valid
+        # play wins with up to its square; the value is clamped
+        edge = np.array([np.sqrt(1.0 + 1.9e-9)])
+        assert st._accepted(edge) == 1.0 + st.PROB_SLACK
+        with pytest.raises(st.StrategyError, match="exceeds one"):
+            st._accepted(np.array([np.sqrt(1.0 + 1e-6)]))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_strategies_within_unit(self, seed):
         rng = np.random.default_rng(seed)
