@@ -13,13 +13,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import games, values
 from . import strategies as st
-from .sdp import SdpError
+from .sdp import DEFAULT_FEAS_TOL, DEFAULT_TOL, SdpError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,13 +45,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol: a positive finite float."""
+    """argparse type of --tol: a finite float no smaller than the solver's
+    feasibility tolerance, as ``sdp.solve`` requires."""
     try:
         tol = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (np.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text!r}")
+    if not (np.isfinite(tol) and tol >= DEFAULT_FEAS_TOL):
+        raise argparse.ArgumentTypeError(
+            f"must be at least {DEFAULT_FEAS_TOL:g} and finite, not {text!r}")
     return tol
 
 
@@ -115,45 +116,19 @@ def dump_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _write_output(text: str) -> None:
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 # -- reproduction rows -------------------------------------------------------------
 
-@dataclass
-class ReproductionRow:
-    game_id: str
-    n: int
-    quantity: str
-    exact_value: float
-    computed: float
-    tolerance: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.computed - self.exact_value)
-
-    @property
-    def passed(self) -> bool:
-        return self.abs_error <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "game": self.game_id,
-            "n": self.n,
-            "quantity": self.quantity,
-            "exact_value": self.exact_value,
-            "computed": self.computed,
-            "abs_error": self.abs_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+def _row(game: str, n: int, quantity: str, exact_value: float, computed: float,
+         tolerance: float) -> dict:
+    """One reproduction row: it passes when |computed - exact_value| <= tolerance."""
+    abs_error = abs(computed - exact_value)
+    return {"game": game, "n": n, "quantity": quantity, "exact_value": exact_value,
+            "computed": computed, "abs_error": abs_error, "tolerance": tolerance,
+            "pass": abs_error <= tolerance}
 
 
 # -- commands ------------------------------------------------------------------------
@@ -219,9 +194,9 @@ def cmd_value(args) -> int:
         report.update(rep.to_json())
     if args.format == "csv":
         flat = {k: v for k, v in report.items() if not isinstance(v, dict)}
-        _write_output(dump_csv([flat]), args.out)
+        _write_output(dump_csv([flat]))
     else:
-        _write_output(dump_json(report), args.out)
+        _write_output(dump_json(report))
     return EXIT_OK
 
 
@@ -264,7 +239,7 @@ def cmd_simulate(args) -> int:
         w = st.win_prob_oneway(g, s)
     report = {"game": args.game, "strategy_name": args.strategy, "win_prob": w,
               "strategy": st.strategy_to_json(s)}
-    _write_output(dump_json(report), args.out)
+    _write_output(dump_json(report))
     return EXIT_OK
 
 
@@ -303,80 +278,80 @@ def cmd_repeat(args) -> int:
 
 # -- reproduction suites ---------------------------------------------------------------
 
-def _rows_gaps(n_max: int, tol: float) -> list[ReproductionRow]:
+def _rows_gaps(n_max: int, tol: float) -> list[dict]:
     rows = []
     for n in range(2, n_max + 1):
         gc, _ = games.game_gc(n)
         gr, _ = games.game_gr(n)
-        rows.append(ReproductionRow("gc", n, "V", 1.0, values.maximal_value(gc), 1e-9))
-        rows.append(ReproductionRow(
+        rows.append(_row("gc", n, "V", 1.0, values.maximal_value(gc), 1e-9))
+        rows.append(_row(
             "gc", n, "omega_qow", 1.0, values.qow_value(gc, tol=tol).value, 1e-5))
-        rows.append(ReproductionRow("gr", n, "V", 1.0, values.maximal_value(gr), 1e-9))
+        rows.append(_row("gr", n, "V", 1.0, values.maximal_value(gr), 1e-9))
         qow_gr = values.qow_value(gr, tol=tol).value
-        rows.append(ReproductionRow("gr", n, "omega_qow", 1.0 / n ** 2, qow_gr, 1e-5))
-        rows.append(ReproductionRow(
+        rows.append(_row("gr", n, "omega_qow", 1.0 / n ** 2, qow_gr, 1e-5))
+        rows.append(_row(
             "gr", n, "V_over_qow", float(n ** 2), values.maximal_value(gr) / qow_gr, 1e-2))
         mu_gc = values.mu_norm(gc, tol=tol)
         mu_lo = min(mu_gc.value, mu_gc.bound)
         mu_ub = max(mu_gc.value, mu_gc.bound)
         exact = 1.0 / n ** 2
         # Grothendieck bracket must contain the known entangled value
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "gc", n, "omega_star_bracket_deficit", 0.0,
             max(0.0, mu_lo ** 2 / 4.0 - exact) + max(0.0, exact - mu_ub ** 2), 1e-5))
     return rows
 
 
-def _rows_parallel(n_max: int, tol: float, seed: int) -> list[ReproductionRow]:
+def _rows_parallel(n_max: int, tol: float, seed: int) -> list[dict]:
     rows = []
     for n in range(2, n_max + 1):
         g, _ = games.game_gcr(n)
         qow = values.qow_value(g, tol=tol).value
         closed = 0.25 * (1.0 + 1.0 / n) ** 2
-        rows.append(ReproductionRow("gcr", n, "omega_qow", closed, qow, 1e-5))
-        rows.append(ReproductionRow(
+        rows.append(_row("gcr", n, "omega_qow", closed, qow, 1e-5))
+        rows.append(_row(
             "gcr", n, "win_identity", 1.0 / n ** 2,
             st.win_prob_entangled(g, st.identity_strategy(n, n)), 1e-12))
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "gcr", n, "win_oneway_flip", closed,
             st.win_prob_oneway(g, st.named_strategy("gcr-oneway", n)), 1e-12))
         g2 = games.game_power(g, 2)
         swap_win = st.win_prob_entangled(g2, st.named_strategy("gcr2-swap", n))
         omega2 = (1.0 / (4 * n ** 2)) * (1.0 + 1.0 / n) ** 2
-        rows.append(ReproductionRow("gcr^2", n, "win_double_swap", omega2, swap_win, 1e-12))
+        rows.append(_row("gcr^2", n, "win_double_swap", omega2, swap_win, 1e-12))
         ratio = swap_win / (1.0 / n ** 2) ** 2
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "gcr^2", n, "pr_failure_ratio", (n ** 2 / 4.0) * (1.0 + 1.0 / n) ** 2,
             ratio, 1e-9))
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "gcr^2", n, "pr_ratio_deficit_vs_quarter_n2", 0.0,
             max(0.0, n ** 2 / 4.0 - ratio), 1e-12))
         res = st.seesaw_lower_bound(g2, 1, 1, restarts=8, iters=120, seed=seed)
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "gcr^2", n, "seesaw_lower_deficit", 0.0,
             max(0.0, omega2 - res.value), 1e-6))
         qow2 = values.qow_value(g2, tol=tol).value
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "gcr^2", n, "omega_qow", closed ** 2, qow2, 1e-4))
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "gcr^2", n, "qow_parallel_repetition_gap", 0.0, abs(qow2 - qow ** 2), 1e-4))
     return rows
 
 
-def _rows_schur(tol: float, seed: int) -> list[ReproductionRow]:
+def _rows_schur(tol: float, seed: int) -> list[dict]:
     rows = []
     for k in range(1, 7):
         phi = games.schur_an_multiplier(k)
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "schur-an", k, "V", 1.0, values.schur_maximal_value(phi), 1e-12))
         witness = np.ones((2 ** k, 2 ** k)) * 2.0 ** (-1.5 * k)
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "schur-an", k, "S_upper_flat_witness", 2.0 ** (-k / 2.0),
             values.schur_s_upper(phi, witness), 1e-12))
     for k in (1, 2):
         phi = games.schur_an_multiplier(k)
         rep = values.schur_equivalence_check(phi, sdp_tol=tol, seed=seed)
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "schur-an", k, "qow_minus_S_squared_deficit", 0.0,
             max(0.0, min(rep.qow, rep.qow_bound) - rep.s_upper ** 2), 1e-5))
     ltw = np.zeros((3, 3), dtype=complex)
@@ -384,10 +359,10 @@ def _rows_schur(tol: float, seed: int) -> list[ReproductionRow]:
     ltw[1, 1] = ltw[2, 1] = 1.0 / (2.0 * np.sqrt(2.0))
     g_ltw, _ = games.schur_game(games.SchurMatrix(3, ltw))
     recognized = games.is_schur(g_ltw)
-    rows.append(ReproductionRow(
+    rows.append(_row(
         "ltw", 3, "is_schur_recognized", 1.0, 1.0 if recognized is not None else 0.0, 0.0))
     if recognized is not None:
-        rows.append(ReproductionRow(
+        rows.append(_row(
             "ltw", 3, "multiplier_max_abs_error", 0.0,
             float(np.max(np.abs(recognized.phi - ltw))), 1e-10))
     return rows
@@ -398,19 +373,18 @@ def cmd_reproduce(args) -> int:
         raise UsageError("--n-max above 3 needs --allow-large")
     if args.n_max < 2 and args.suite != "schur":
         raise UsageError(f"--n-max must be at least 2 for suite {args.suite!r}")
-    rows: list[ReproductionRow] = []
+    rows: list[dict] = []
     if args.suite in ("gaps", "all"):
         rows.extend(_rows_gaps(args.n_max, args.tol))
     if args.suite in ("parallel", "all"):
         rows.extend(_rows_parallel(args.n_max, args.tol, args.seed))
     if args.suite in ("schur", "all"):
         rows.extend(_rows_schur(args.tol, args.seed))
-    dicts = [r.as_dict() for r in rows]
     if args.format == "csv":
-        _write_output(dump_csv(dicts), args.out)
+        _write_output(dump_csv(rows))
     else:
-        _write_output(dump_json(dicts), args.out)
-    if not all(r.passed for r in rows):
+        _write_output(dump_json(rows))
+    if not all(r["pass"] for r in rows):
         return EXIT_REPRODUCE
     return EXIT_OK
 
@@ -422,11 +396,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=_tolerance, default=1e-7,
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="SDP duality-gap tolerance")
         p.add_argument("--seed", type=_seed, default=0, help="seed for randomized parts")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="also write the report to this path")
 
     p_make = sub.add_parser("make", help="write a canonical game file")
     p_make.add_argument("--family", required=True, choices=list(FAMILIES))
@@ -449,7 +422,6 @@ def build_parser() -> _Parser:
                        help="named protocol (%s) or a strategy JSON file"
                             % "|".join(st.NAMED_STRATEGIES))
     p_sim.add_argument("--ancilla", default=None, help="a,b ancilla dimensions")
-    p_sim.add_argument("--out", default=None, help="also write the report to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("repeat", help="tensor-power a game file")
@@ -458,7 +430,7 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("--which", default=None, choices=("V", "qow"),
                        help="also compute V or qow on the power")
-    p_rep.add_argument("--tol", type=_tolerance, default=1e-7)
+    p_rep.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_rep.add_argument("--dump-sdp", dest="dump_sdp", default=None,
                        help="write the SDP of --which qow to this path as JSON")
     p_rep.set_defaults(func=cmd_repeat)

@@ -19,6 +19,10 @@ logger = logging.getLogger(__name__)
 
 TRACE_NORM_SLACK = 1e-9
 UNIT_NORM_TOL = 1e-10
+# largest off-pattern entry of a Schur game
+SCHUR_PATTERN_TOL = 1e-10
+# largest Frobenius distance of equal referee Gram matrices
+GRAM_MATCH_TOL = 1e-8
 DEFAULT_SIDE_CAP = 4096
 
 
@@ -187,10 +191,11 @@ def schur_game(s: SchurMatrix) -> tuple[RankOneGame, GamePurification]:
     return RankOneGame(n, n, m), GamePurification(n, n, p.d_c, psi, gamma)
 
 
-def is_schur(g: RankOneGame, tol: float = 1e-10):
+def is_schur(g: RankOneGame):
     """Extract the multiplier phi if M is supported on |i><j| (x) |i><j|.
 
-    Returns None when dA != dB or when any off-pattern entry exceeds tol.
+    Returns None when dA != dB or when any off-pattern entry exceeds
+    SCHUR_PATTERN_TOL.
     """
     if g.d_a != g.d_b:
         logger.debug("is_schur: dA=%d != dB=%d, not a Schur game", g.d_a, g.d_b)
@@ -200,7 +205,7 @@ def is_schur(g: RankOneGame, tol: float = 1e-10):
     block = np.ix_(diag, diag)
     off_pattern = g.m.copy()
     off_pattern[block] = 0.0
-    if np.max(np.abs(off_pattern)) > tol:
+    if np.max(np.abs(off_pattern)) > SCHUR_PATTERN_TOL:
         return None
     return SchurMatrix(n, g.m[block])
 
@@ -274,20 +279,21 @@ def purification_power(p: GamePurification, k: int) -> GamePurification:
     return out
 
 
-def check_maximal_value_one(p: GamePurification, tol: float = 1e-8) -> bool:
+def check_maximal_value_one(p: GamePurification) -> bool:
     """Whether the game of this purification has maximal value one.
 
     Writing psi and gamma in C-basis components psi_c, gamma_c in H_A(x)H_B,
     maximal value one holds exactly when a single unitary aligns all
     components, i.e. when the two Gram matrices <psi_c|psi_c'> and
-    <gamma_c|gamma_c'> coincide.  Compared in Frobenius distance.
+    <gamma_c|gamma_c'> coincide.  Compared in Frobenius distance, to
+    GRAM_MATCH_TOL.
     """
     d_ab = p.d_a * p.d_b
     psi_c = p.psi.reshape(d_ab, p.d_c)
     gamma_c = p.gamma.reshape(d_ab, p.d_c)
     gram_psi = psi_c.conj().T @ psi_c
     gram_gamma = gamma_c.conj().T @ gamma_c
-    return bool(np.linalg.norm(gram_psi - gram_gamma) <= tol)
+    return bool(np.linalg.norm(gram_psi - gram_gamma) <= GRAM_MATCH_TOL)
 
 
 # -- file formats --------------------------------------------------------------

@@ -707,10 +707,14 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     - ``numerical-error``: the duality measure or an objective stopped
       being finite.
 
-    Problem data that are not finite, and a ``tol`` that is not positive
-    and finite, raise ``SdpError`` before any iteration.  On status
-    ``optimal`` the primal and dual values are within ``tol`` of each other
-    (relative to max(1, values)), and the block-diagonal sum of the PSD
+    Problem data that are not finite, and a ``tol`` that is not finite or
+    is below DEFAULT_FEAS_TOL, raise ``SdpError`` before any iteration.
+    The stopping test holds the residuals to DEFAULT_FEAS_TOL whatever
+    ``tol`` is, so a smaller gap tolerance asks for a gap narrower than the
+    feasibility it rests on: such solves run to ``max-iters``, or return
+    dual blocks that miss the witness check ``values`` makes at 10 * tol.
+    On status ``optimal`` the primal and dual values are within ``tol`` of
+    each other (relative to max(1, values)), and the block-diagonal sum of the PSD
     constraints at the returned point has least eigenvalue
     >= -DEFAULT_FEAS_TOL (1 + scale) / sqrt 2 up to rounding, by the
     stopping test; scale is the largest of 1, |g_j| and |F0|_2.
@@ -719,6 +723,6 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     value is sum_c Re tr(F0_c X_c) for a maximization and its negation for
     a minimization.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise SdpError(f"tol must be positive and finite, not {tol!r}")
+    if not (np.isfinite(tol) and tol >= DEFAULT_FEAS_TOL):
+        raise SdpError(f"tol must be at least {DEFAULT_FEAS_TOL:g} and finite, not {tol!r}")
     return _solve_lmi(_compile(problem), [v.name for v in problem.variables], tol, max_iters)

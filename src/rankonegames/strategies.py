@@ -175,8 +175,8 @@ def _ascend(g: RankOneGame, d_ap: int, d_bp: int, u: np.ndarray, v: np.ndarray,
     strategy, objective trace and convergence flag."""
     d_a, d_b = g.d_a, g.d_b
     restarts = u.shape[0]
-    # M[(a,b),(c,d)] regrouped as [(a,c),(b,d)]; U[(c,u),(a,v)], V[(d,w),(b,z)]
-    m_ac_bd = g.m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a ** 2, d_b ** 2)
+    # M[(a,b),(c,d)] realigned as [(a,c),(b,d)]; U[(c,u),(a,v)], V[(d,w),(b,z)]
+    m_ac_bd = la.realign(g.m, d_a, d_b)
     trace = np.zeros((restarts, iters))
     steps = np.full(restarts, iters)
     converged = np.zeros(restarts, dtype=bool)

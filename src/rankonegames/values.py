@@ -41,11 +41,12 @@ from . import sdp
 from .games import RankOneGame, SchurMatrix, schur_game
 from .strategies import identity_strategy, seesaw_lower_bound, win_prob_entangled
 
-DEFAULT_SDP_TOL = 1e-7
 # schur_s_search: coordinate-descent sweeps per start, random starts, grid phases
 S_SEARCH_ITERS = 60
 S_SEARCH_RESTARTS = 8
 S_SEARCH_PHASES = 16
+# schur_equivalence_check: slack of its two inequalities
+SCHUR_CHAIN_SLACK = 1e-5
 
 
 class CalculationError(RuntimeError):
@@ -216,7 +217,7 @@ def _certified(problem: sdp.SdpProblem, g: RankOneGame, tol: float, what: str,
     return sol, witness
 
 
-def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
+def qow_value(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
     """One-way value: square of the pairing optimum over Haagerup witnesses,
     certified as in ``_certified``."""
     sol, witness = _certified(haagerup_pairing_program(g), g, tol, "one-way value",
@@ -226,7 +227,7 @@ def qow_value(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
     return SdpValue(achieved ** 2, bound ** 2, witness, sol)
 
 
-def mu_norm(g: RankOneGame, tol: float = DEFAULT_SDP_TOL) -> SdpValue:
+def mu_norm(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
     """Symmetrized Haagerup norm of the game matrix (not squared), certified
     as in ``_certified``."""
     sol, witness = _certified(mu_pairing_program(g), g, tol, "symmetrized norm",
@@ -253,15 +254,14 @@ class ValueReport:
     omega_star_upper_provenance: str
     seesaw_value: float
     identity_value: float
-    tol: float
     solver_info: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"V" if k == "v" else k: x for k, x in asdict(self).items()}
 
 
-def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL, restarts: int = 20,
-                           iters: int = 200, seed: int = 0) -> ValueReport:
+def entangled_value_bounds(g: RankOneGame, tol: float = sdp.DEFAULT_TOL, restarts: int = 20,
+                           seed: int = 0) -> ValueReport:
     """Bracket the entangled value between certified lower and upper bounds.
 
     Lower candidates: the see-saw strategy value, the trivial identity
@@ -285,8 +285,7 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL, restart
 
     identity_value = win_prob_entangled(g, identity_strategy(g.d_a, g.d_b))
 
-    res = seesaw_lower_bound(g, restarts=restarts, iters=iters, seed=seed,
-                             target=up - tol * max(1.0, up))
+    res = seesaw_lower_bound(g, restarts=restarts, seed=seed, target=up - tol * max(1.0, up))
     lower_candidates = [("identity", identity_value), ("mu/4", mu_lo ** 2 / 4.0),
                         ("seesaw", res.value)]
     lo_prov, lo = max(lower_candidates, key=lambda kv: kv[1])
@@ -302,7 +301,6 @@ def entangled_value_bounds(g: RankOneGame, tol: float = DEFAULT_SDP_TOL, restart
         omega_star_upper_provenance=up_prov,
         seesaw_value=res.value,
         identity_value=identity_value,
-        tol=tol,
         solver_info={
             "qow_iterations": qres.solution.iterations,
             "mu_iterations": mres.solution.iterations,
@@ -406,13 +404,13 @@ class SchurEquivalenceReport:
     mu_quarter_below_qow: bool
 
 
-def schur_equivalence_check(phi: SchurMatrix, tol: float = 1e-5,
-                            sdp_tol: float = DEFAULT_SDP_TOL,
+def schur_equivalence_check(phi: SchurMatrix, sdp_tol: float = sdp.DEFAULT_TOL,
                             seed: int = 0) -> SchurEquivalenceReport:
     """Testable fragments of the one-way/entangled equivalence for Schur games.
 
     Computes the one-way value, the best dominating-witness bound, and the
-    symmetrized norm, then asserts qow <= S^2 + tol and mu^2/4 <= qow + tol.
+    symmetrized norm, then asserts qow <= S^2 + slack and mu^2/4 <= qow + slack,
+    with slack SCHUR_CHAIN_SLACK.
     """
     g, _ = schur_game(phi)
     qres = qow_value(g, tol=sdp_tol)
@@ -429,8 +427,8 @@ def schur_equivalence_check(phi: SchurMatrix, tol: float = 1e-5,
         s_upper=s_val,
         mu=mres.value,
         mu_bound=mres.bound,
-        qow_below_s_squared=bool(min(qres.value, qres.bound) <= s_val ** 2 + tol),
-        mu_quarter_below_qow=bool(mu_lo ** 2 / 4.0 <= qow_ub + tol),
+        qow_below_s_squared=bool(min(qres.value, qres.bound) <= s_val ** 2 + SCHUR_CHAIN_SLACK),
+        mu_quarter_below_qow=bool(mu_lo ** 2 / 4.0 <= qow_ub + SCHUR_CHAIN_SLACK),
     )
     if not report.qow_below_s_squared or not report.mu_quarter_below_qow:
         raise CalculationError(f"Schur chain violated: {report}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from rankonegames import linalg as la
 from rankonegames import sdp
-from rankonegames.sdp import PsdConstraint, PsdTerm, SdpProblem, SdpVariable
+from rankonegames.sdp import DEFAULT_TOL, PsdConstraint, PsdTerm, SdpProblem, SdpVariable
 from rankonegames.games import GamePurification, RankOneGame
 from rankonegames.strategies import (
     PROB_SLACK,
@@ -40,7 +40,7 @@ from rankonegames.strategies import (
     OneWayStrategy,
     StrategyError,
 )
-from rankonegames.values import DEFAULT_SDP_TOL, CalculationError, _pairing_objective
+from rankonegames.values import CalculationError, _pairing_objective
 
 
 def _leg_trace_rows(d: int, leg: int):
@@ -111,7 +111,7 @@ def haagerup_norm_program(u: np.ndarray, d_a: int, d_b: int,
     )
 
 
-def haagerup_norm(u: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_SDP_TOL,
+def haagerup_norm(u: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_TOL,
                   transposed: bool = False) -> tuple[float, float]:
     """(achieved, certified lower bound) for the witness-side Haagerup norm."""
     sol = sdp.solve(haagerup_norm_program(u, d_a, d_b, transposed=transposed), tol=tol)

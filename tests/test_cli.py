@@ -153,14 +153,21 @@ class TestValue:
         assert "--dump-sdp" in err and out == ""
         assert not dump.exists()
 
-    def test_csv_format(self, tmp_path, capsys):
+    @pytest.mark.parametrize("which, header", [
+        pytest.param("V", "game,which,tol,value", id="V"),
+        pytest.param("bracket", "game,which,tol,V,qow,qow_bound,mu,mu_bound,omega_star_lower,"
+                                "omega_star_lower_provenance,omega_star_upper,"
+                                "omega_star_upper_provenance,seesaw_value,identity_value",
+                     id="bracket"),
+    ])
+    def test_csv_format(self, which, header, tmp_path, capsys):
         path = tmp_path / "gc2.json"
         run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
-        code, out, _ = run(capsys, "value", "--game", str(path), "--which", "V",
+        code, out, _ = run(capsys, "value", "--game", str(path), "--which", which,
                            "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].split(",")[:3] == ["game", "which", "tol"]
+        assert lines[0] == header
         assert len(lines) == 2
 
 
@@ -451,11 +458,16 @@ class TestRemovedFlags:
         ("repeat", ["--format", "json"]),
         ("reproduce", ["--dump-sdp", "x.json"]),
         ("repeat", ["--side-cap", "16"]),
+        ("value", ["--out", "copy.json"]),
+        ("simulate", ["--out", "copy.json"]),
+        ("reproduce", ["--out", "copy.json"]),
     ])
-    def test_flag_is_usage_error(self, command, flag, tmp_path, capsys):
+    def test_flag_is_usage_error(self, command, flag, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a flag that is still accepted writes here
         path = tmp_path / "gc2.json"
         run(capsys, "make", "--family", "gc", "--n", "2", "--out", str(path))
         argv = {
+            "value": ["--game", str(path), "--which", "V"],
             "simulate": ["--game", str(path), "--strategy", "identity"],
             "repeat": ["--game", str(path), "--k", "1", "--out", str(tmp_path / "p.json")],
             "reproduce": ["--suite", "schur"],
@@ -466,7 +478,7 @@ class TestRemovedFlags:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-9"])
     @pytest.mark.parametrize("command", ["value", "repeat", "reproduce"])
     def test_invalid_tol_is_usage_error(self, command, tol, tmp_path, capsys):
         path = tmp_path / "gcr2.json"

@@ -250,7 +250,7 @@ class TestValidation:
             sdp.solve(p)
 
     @pytest.mark.parametrize("name", ["tol"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, 1e-9])
     def test_bad_tolerance_rejected(self, name, bad):
         with pytest.raises(sdp.SdpError, match=name):
             sdp.solve(lambda_max_problem(np.diag([1.0, 2.0])), **{name: bad})

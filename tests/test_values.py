@@ -251,7 +251,7 @@ class TestHaagerupNormAndBruteForce:
 class TestEntangledValueBounds:
     def test_gc2_bracket_contains_quarter(self):
         g, _ = games.game_gc(2)
-        rep = values.entangled_value_bounds(g, restarts=6, iters=80, seed=0)
+        rep = values.entangled_value_bounds(g, restarts=6, seed=0)
         assert rep.omega_star_lower <= 0.25 + 1e-6
         assert rep.omega_star_upper >= 0.25 - 1e-5
         assert rep.omega_star_lower <= rep.omega_star_upper + 2e-7
@@ -259,7 +259,7 @@ class TestEntangledValueBounds:
 
     def test_gcr2_bracket(self):
         g, _ = games.game_gcr(2)
-        rep = values.entangled_value_bounds(g, restarts=6, iters=80, seed=0)
+        rep = values.entangled_value_bounds(g, restarts=6, seed=0)
         assert rep.omega_star_lower >= 0.25 - 1e-6
         assert rep.omega_star_upper >= 0.25 - 1e-5
         assert rep.omega_star_lower <= rep.omega_star_upper + 2e-7
@@ -267,8 +267,7 @@ class TestEntangledValueBounds:
     def test_product_game_tight(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
-        rep = values.entangled_value_bounds(
-            games.RankOneGame(2, 2, m), restarts=2, iters=30, seed=0)
+        rep = values.entangled_value_bounds(games.RankOneGame(2, 2, m), restarts=2, seed=0)
         assert rep.omega_star_lower == pytest.approx(1.0, abs=1e-6)
         assert rep.omega_star_upper == pytest.approx(1.0, abs=1e-6)
 
