@@ -162,15 +162,20 @@ def _load_game(path):
     return g, p, obj
 
 
+def _dump_sdp(path: str | None, program, g) -> None:
+    """Write program(g) to path as JSON, if a path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(program(g).to_json(), fh)
+
+
 def _sdp_value(which: str, g, tol: float, dump_path: str | None) -> dict:
     """Value, bound and solver report of --which qow or mu, after writing the
     program to dump_path as JSON if given.  The functions are looked up per
     call, so that tracers and tests can patch them on the module."""
     program, value = ((values.haagerup_pairing_program, values.qow_value) if which == "qow"
                       else (values.mu_pairing_program, values.mu_norm))
-    if dump_path:
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            json.dump(program(g).to_json(), fh)
+    _dump_sdp(dump_path, program, g)
     res = value(g, tol=tol)
     return {"value": res.value, "bound": res.bound,
             "solver": {"iterations": res.solution.iterations, "gap": res.solution.gap}}
@@ -268,8 +273,10 @@ def cmd_repeat(args) -> int:
     if args.which == "V":
         report["value"] = values.maximal_value(gk)
     elif args.which == "qow":
-        res = _sdp_value("qow", gk, args.tol, args.dump_sdp)
-        report.update(value=res["value"], bound=res["bound"])
+        # the power's program is the one its certificate is checked on
+        _dump_sdp(args.dump_sdp, values.haagerup_pairing_program, gk)
+        res = values.qow_power(g, args.k, tol=args.tol)
+        report.update(value=res.value, bound=res.bound)
     if args.which:
         report["which"] = args.which
     sys.stdout.write(dump_json(report) + "\n")
@@ -306,9 +313,9 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[dict]:
     rows = []
     for n in range(2, n_max + 1):
         g, _ = games.game_gcr(n)
-        qow = values.qow_value(g, tol=tol).value
+        q1 = values.qow_value(g, tol=tol)
         closed = 0.25 * (1.0 + 1.0 / n) ** 2
-        rows.append(_row("gcr", n, "omega_qow", closed, qow, 1e-5))
+        rows.append(_row("gcr", n, "omega_qow", closed, q1.value, 1e-5))
         rows.append(_row(
             "gcr", n, "win_identity", 1.0 / n ** 2,
             st.win_prob_entangled(g, st.identity_strategy(n, n)), 1e-12))
@@ -330,11 +337,14 @@ def _rows_parallel(n_max: int, tol: float, seed: int) -> list[dict]:
         rows.append(_row(
             "gcr^2", n, "seesaw_lower_deficit", 0.0,
             max(0.0, omega2 - res.value), 1e-6))
-        qow2 = values.qow_value(g2, tol=tol).value
+        q2 = values.qow_power(g, 2, tol=tol)
         rows.append(_row(
-            "gcr^2", n, "omega_qow", closed ** 2, qow2, 1e-4))
+            "gcr^2", n, "omega_qow", closed ** 2, q2.value, 1e-4))
+        # both intervals are checked on their own programs, so their hull bounds
+        # |qow(G (x) G) - qow(G)^2|
         rows.append(_row(
-            "gcr^2", n, "qow_parallel_repetition_gap", 0.0, abs(qow2 - qow ** 2), 1e-4))
+            "gcr^2", n, "qow_parallel_repetition_gap", 0.0,
+            max(q2.bound, q1.bound ** 2) - min(q2.value, q1.value ** 2), 1e-4))
     return rows
 
 
@@ -432,15 +442,16 @@ def build_parser() -> _Parser:
                        help="also compute V or qow on the power")
     p_rep.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_rep.add_argument("--dump-sdp", dest="dump_sdp", default=None,
-                       help="write the SDP of --which qow to this path as JSON")
+                       help="write the power's SDP, on which --which qow checks its "
+                            "certificate, to this path as JSON")
     p_rep.set_defaults(func=cmd_repeat)
 
     p_repro = sub.add_parser("reproduce", help="reproduce the published closed forms")
     p_repro.add_argument("--suite", required=True, choices=("gaps", "parallel", "schur", "all"))
     p_repro.add_argument("--n-max", dest="n_max", type=int, default=3)
     p_repro.add_argument("--allow-large", action="store_true",
-                         help="allow --n-max above 3 (the squared-game SDP of the parallel "
-                              "suite has block side 2 n^4: 512 at n=4)")
+                         help="allow --n-max above 3 (the parallel suite checks the squared "
+                              "game's certificate on a block of side 2 n^4: 512 at n=4)")
     common(p_repro)
     p_repro.set_defaults(func=cmd_reproduce)
     return parser

@@ -234,6 +234,17 @@ def schur_an_game(k: int) -> tuple[SchurMatrix, RankOneGame]:
 
 # -- tensoring ----------------------------------------------------------------
 
+def _regrouped_kron(x1: np.ndarray, dims1: tuple[int, int], x2: np.ndarray,
+                    dims2: tuple[int, int]) -> np.ndarray:
+    """x1 (x) x2 for square matrices on P1 (x) Q1 and P2 (x) Q2, of register
+    sides dims1 = (p1, q1) and dims2 = (p2, q2), with rows and columns
+    regrouped from (p1, q1, p2, q2) to (p1, p2, q1, q2)."""
+    (p1, q1), (p2, q2) = dims1, dims2
+    side = p1 * q1 * p2 * q2
+    big = np.kron(x1, x2).reshape((p1, q1, p2, q2) * 2)
+    return big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
+
+
 def game_tensor(g1: RankOneGame, g2: RankOneGame) -> RankOneGame:
     """Parallel composition: registers regrouped to (A1 A2, B1 B2).
 
@@ -243,10 +254,7 @@ def game_tensor(g1: RankOneGame, g2: RankOneGame) -> RankOneGame:
     d_b = g1.d_b * g2.d_b
     if d_a * d_b > DEFAULT_SIDE_CAP:
         raise GameError(f"tensor side {d_a * d_b} exceeds the cap {DEFAULT_SIDE_CAP}")
-    # rows and columns of the Kronecker product are (a1, b1, a2, b2)
-    big = np.kron(g1.m, g2.m).reshape((g1.d_a, g1.d_b, g2.d_a, g2.d_b) * 2)
-    m = big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d_a * d_b, d_a * d_b)
-    return RankOneGame(d_a, d_b, m)
+    return RankOneGame(d_a, d_b, _regrouped_kron(g1.m, (g1.d_a, g1.d_b), g2.m, (g2.d_a, g2.d_b)))
 
 
 def tensor_purifications(p1: GamePurification, p2: GamePurification) -> GamePurification:

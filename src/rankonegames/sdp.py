@@ -86,6 +86,15 @@ class PsdConstraint:
     terms: list[PsdTerm] = field(default_factory=list)
     name: str = ""
 
+    def block(self, assignments: dict[str, np.ndarray]) -> np.ndarray:
+        """F0 + sum over terms sign * A @ X_var @ A^dagger, formed densely at
+        the variable values ``assignments``."""
+        out = np.array(self.constant, dtype=complex)
+        for t in self.terms:
+            a = np.asarray(t.left)
+            out += t.sign * (a @ assignments[t.var] @ a.conj().T)
+        return out
+
 
 @dataclass
 class SdpProblem:

@@ -24,21 +24,27 @@ two multiplier blocks joined by an off-diagonal split variable.  Its
 witness is the two dual blocks, the second given the first one's
 off-diagonal, so that both certify the same u with the plain and the
 transposed Grams.  Both values go through one path, ``_certified``:
-solve, require status optimal, check the blocks at 10 * tol.  The tests
-cross-check the block form against brute-force minimization over explicit
-decompositions, against a witness-side norm SDP and against the witness
-side of ``mu``; these second routes live in ``tests/oracles.py``.
+solve, require status optimal, check the blocks at 10 * tol.  The
+one-way value is multiplicative on tensor products, so ``qow_power``
+values a power from the base game's certificate, tensored and checked on
+the power's own program, which is built but not solved; mu is not
+multiplicative and has no such path.  The tests cross-check the block
+form against brute-force minimization over explicit decompositions,
+against a witness-side norm SDP and against the witness side of ``mu``,
+second routes that live in ``tests/oracles.py``, and ``qow_power``
+against the direct solve of the power.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import linalg as la
 from . import sdp
-from .games import RankOneGame, SchurMatrix, schur_game
+from .games import RankOneGame, SchurMatrix, _regrouped_kron, game_power, schur_game
 from .strategies import identity_strategy, seesaw_lower_bound, win_prob_entangled
 
 # schur_s_search: coordinate-descent sweeps per start, random starts, grid phases
@@ -47,6 +53,10 @@ S_SEARCH_RESTARTS = 8
 S_SEARCH_PHASES = 16
 # schur_equivalence_check: slack of its two inequalities
 SCHUR_CHAIN_SLACK = 1e-5
+# qow_power: the least eigenvalue sdp.solve allows the block at an optimal
+# point, DEFAULT_FEAS_TOL (1 + scale) / sqrt 2, with scale 1: the pairing
+# programs' objective is the identity and their |F0|_2 = |R(M)|_2 / 2 <= 1/2
+POWER_PSD_SHIFT = sdp.DEFAULT_FEAS_TOL * np.sqrt(2.0)
 
 
 class CalculationError(RuntimeError):
@@ -225,6 +235,70 @@ def qow_value(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
     achieved = max(sol.dual_value, 0.0)
     bound = max(sol.primal_value, 0.0)
     return SdpValue(achieved ** 2, bound ** 2, witness, sol)
+
+
+def _regrouped_power(x: np.ndarray, dims: tuple[int, int], k: int) -> np.ndarray:
+    """x^(x k) for a square x on P (x) Q, regrouped to (P^(x k)) (x) (Q^(x k))
+    with the factors in order, as ``game_power`` regroups the game."""
+    out, (p, q) = x, dims
+    for i in range(1, k):
+        out = _regrouped_kron(out, (p ** i, q ** i), x, dims)
+    return out
+
+
+def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
+    """One-way value of the k-fold tensor power of g, from g's certificate.
+
+    The Haagerup norm is multiplicative (Effros & Ruan, Operator Spaces,
+    2000, ch. 9; Pisier, Introduction to Operator Space Theory, 2003,
+    ch. 5), so g is solved once, through ``_certified`` as in
+    ``qow_value``, and both sides of its certificate are tensored k-fold:
+
+    - the multipliers P_k = 2^(k-1) P^(x k) and Q_k = 2^(k-1) Q^(x k), in
+      the order of ``np.kron``.  The Kronecker product of k copies of g's
+      PSD block has, up to the sign of its off-diagonal, the power's block
+      at (P^(x k), Q^(x k)) as a principal submatrix, but with
+      2^-k R(M^(x k)) off the diagonal where the power's program has 2^-1.
+      Scaling both diagonal blocks by 2^(k-1) makes up the difference, and
+      this split is optimal, since tr P = tr Q at g's optimum.  The bound
+      is (tr P_k + tr Q_k)^2.
+    - the witness block: the Grams Y_A^(x k), Y_B^(x k) and u^(x k), with
+      their registers regrouped as the game's, and R(u_k) off the diagonal.
+      The value is Re <M^(x k), u_k>^2, taken on the power, since
+      Re(z^k) differs from (Re z)^k when <M, u> is not real.
+
+    Both are checked on ``haagerup_pairing_program(game_power(g, k))``,
+    which is built but not solved: the multiplier block plus
+    POWER_PSD_SHIFT times the identity must have a Cholesky factor, and the
+    witness must pass ``haagerup_witness_check`` at 10 * tol; otherwise
+    CalculationError.  k = 1 is ``qow_value(g)``.  ``solution`` is the
+    solve of g.  mu is not multiplicative, so it has no such path.
+    """
+    base = qow_value(g, tol=tol)
+    if k == 1:
+        return base
+    gk = game_power(g, k)
+    scale = 2.0 ** (k - 1)
+    mult = {name: scale * reduce(np.kron, [base.solution.assignments[name]] * k)
+            for name in "PQ"}
+    block = haagerup_pairing_program(gk).psd_constraints[0].block(mult)
+    try:
+        np.linalg.cholesky(block + POWER_PSD_SHIFT * np.eye(block.shape[0]))
+    except np.linalg.LinAlgError:
+        raise CalculationError("power multipliers failed validation") from None
+
+    na = g.d_a * g.d_a
+    z = base.witness.blocks[0]
+    u_k = _regrouped_power(base.witness.u, (g.d_a, g.d_b), k)
+    r = la.realign(u_k, gk.d_a, gk.d_b)
+    witness = HaagerupWitness(gk.d_a, gk.d_b, [np.block([
+        [_regrouped_power(z[:na, :na], (g.d_a, g.d_a), k), r],
+        [r.conj().T, _regrouped_power(z[na:, na:], (g.d_b, g.d_b), k)]])])
+    if not haagerup_witness_check(witness, 10.0 * tol):
+        raise CalculationError("power witness failed validation")
+    achieved = max(float(np.sum(gk.m * u_k).real), 0.0)
+    bound = max(float(np.trace(mult["P"]).real + np.trace(mult["Q"]).real), 0.0)
+    return SdpValue(achieved ** 2, bound ** 2, witness, base.solution)
 
 
 def mu_norm(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:

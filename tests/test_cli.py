@@ -2,7 +2,6 @@ import hashlib
 import json
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -399,13 +398,14 @@ class TestReproduce:
         assert code == 1
         assert "allow-large" in err
 
-    def test_squared_rows_reach_n_max(self, capsys, monkeypatch):
-        # the squared-game program of n = 4 takes seconds, so its value is stubbed
-        monkeypatch.setattr(values, "qow_value", lambda g, tol: SimpleNamespace(value=0.125))
-        _, out, _ = run(capsys, "reproduce", "--suite", "parallel", "--n-max", "4",
-                        "--allow-large", "--format", "csv")
-        rows = {tuple(line.split(",")[:3]): line.split(",")[3:5] for line in out.splitlines()}
-        assert rows["gcr^2", "4", "omega_qow"] == ["0.152587890625", "0.125"]
+    def test_squared_rows_reach_n_max(self, capsys):
+        code, out, _ = run(capsys, "reproduce", "--suite", "parallel", "--n-max", "4",
+                           "--allow-large", "--format", "csv")
+        assert code == 0
+        rows = {tuple(line.split(",")[:3]): line.split(",")[3:] for line in out.splitlines()}
+        assert rows["gcr^2", "4", "omega_qow"][0] == "0.152587890625"
+        assert rows["gcr^2", "4", "omega_qow"][-1] == "true"
+        assert rows["gcr^2", "4", "qow_parallel_repetition_gap"][-1] == "true"
 
     @pytest.mark.parametrize("suite", ["gaps", "parallel", "all"])
     @pytest.mark.parametrize("n_max", ["1", "0"])

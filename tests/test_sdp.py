@@ -544,9 +544,7 @@ def test_optimal_point_meets_the_stopping_bound(name):
     scale = max([1.0, *np.abs(g)] + [np.linalg.norm(con.constant, 2)
                                      for con in problem.psd_constraints])
     for con in problem.psd_constraints:
-        block = con.constant + sum((t.sign * t.left @ sol.assignments[t.var] @ t.left.conj().T
-                                    for t in con.terms), np.zeros(con.constant.shape))
-        assert np.linalg.eigvalsh(block)[0] >= -sdp.DEFAULT_FEAS_TOL * (1.0 + scale)
+        assert np.linalg.eigvalsh(con.block(sol.assignments))[0] >= -sdp.DEFAULT_FEAS_TOL * (1.0 + scale)
 
 
 @pytest.mark.parametrize("name", ["mu", "mu-witness", "norm"])

@@ -345,6 +345,53 @@ class TestMultiplicativity:
         assert abs(squared - single ** 2) <= 1e-4
 
 
+# (d_a, d_b, k) of the seeded games valued through qow_power
+POWER_CASES = [(2, 2, 2)] * 4 + [(2, 3, 2)] * 3 + [(3, 2, 2)] * 3 + [(2, 2, 3)]
+
+
+def power_case(index):
+    d_a, d_b, k = POWER_CASES[index]
+    rng = np.random.default_rng(700 + index)
+    return random_game(d_a, d_b, rng.uniform(0.3, 1.0), rng), k
+
+
+class TestQowPower:
+    @pytest.mark.parametrize("case", ["gcr2"] + list(range(len(POWER_CASES))))
+    def test_product_bracket_overlaps_direct_solve(self, case):
+        g, k = (games.game_gcr(2)[0], 3) if case == "gcr2" else power_case(case)
+        product = values.qow_power(g, k)
+        direct = values.qow_value(games.game_power(g, k))
+        assert product.bound >= product.value
+        assert product.value <= direct.bound and direct.value <= product.bound
+
+    def test_first_power_is_the_value(self):
+        g, _ = power_case(0)
+        power, value = values.qow_power(g, 1), values.qow_value(g)
+        assert (power.value, power.bound) == (value.value, value.bound)
+        assert all(np.array_equal(a, b) for a, b in zip(power.witness.blocks,
+                                                          value.witness.blocks))
+
+    def test_multipliers_without_the_factor_two_are_refused(self, monkeypatch):
+        # P / sqrt 2 and Q / sqrt 2 make the tensored multipliers P (x) P and
+        # Q (x) Q, whose block misses the power's off-diagonal by a factor 2
+        solved = values.qow_value
+
+        def shrunk(g, tol):
+            res = solved(g, tol=tol)
+            res.solution.assignments = {name: x / np.sqrt(2.0)
+                                        for name, x in res.solution.assignments.items()}
+            return res
+
+        monkeypatch.setattr(values, "qow_value", shrunk)
+        with pytest.raises(values.CalculationError, match="multipliers"):
+            values.qow_power(power_case(0)[0], 2)
+
+    def test_witness_without_the_regrouping_is_refused(self, monkeypatch):
+        monkeypatch.setattr(values, "_regrouped_kron", lambda x1, d1, x2, d2: np.kron(x1, x2))
+        with pytest.raises(values.CalculationError, match="witness"):
+            values.qow_power(power_case(0)[0], 2)
+
+
 def seeded_game(case, seed=101, index=0):
     """gcr2, or the complex game the benchmark draws as its 2x2 ("rand2") or
     3x3 ("rand3") input number ``index`` at ``seed``."""
