@@ -254,14 +254,12 @@ def cmd_repeat(args) -> int:
     if args.dump_sdp and args.which != "qow":
         raise UsageError("--dump-sdp needs --which qow")
     g, p, obj = _load_game(args.game)
-    # a side-1 game or register never reaches the cap, so k itself is bounded
-    cap = games.DEFAULT_SIDE_CAP
-    side = max(g.d_a * g.d_b, p.d_c if p is not None else 1)
-    if args.k > cap.bit_length() - 1 or side ** args.k > cap:
-        raise UsageError(f"--k {args.k} makes a game or referee register whose side "
-                         f"is above the cap {cap}")
-    gk = games.game_power(g, args.k)
-    pk = games.purification_power(p, args.k) if p is not None else None
+    try:
+        # the purification first: its size rule also covers the game's side
+        pk = games.purification_power(p, args.k) if p is not None else None
+        gk = games.game_power(g, args.k)
+    except games.GameError as exc:
+        raise UsageError(f"--k {args.k}: {exc}") from None
     out_obj = games.game_to_json(gk, pk)
     if "family" in obj:
         out_obj["family"] = obj["family"]

@@ -4,12 +4,16 @@ A game is the matrix M on H_A (x) H_B obtained by tracing the referee's
 register out of |psi><gamma|; games are exactly the trace-norm unit ball.
 Basis indexing is 0-based throughout; published 1-based formulas are
 translated here once and pinned by tests against their explicit entries.
+``regrouped_kron`` alone orders the registers of every tensor product
+(A1 A2 ..., B1 B2 ..., C1 C2 ...) and applies the size cap.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -214,10 +218,7 @@ def schur_an_multiplier(k: int) -> SchurMatrix:
     """Multiplier phi_k = 2^(-3k/2) A^(x k) of the sign-matrix family."""
     if k < 1:
         raise GameError("k must be at least 1")
-    phi = np.array([[1.0]])
-    for _ in range(k):
-        phi = np.kron(phi, [[1.0, 1.0], [1.0, -1.0]])
-    phi = phi * (2.0 ** (-1.5 * k))
+    phi = regrouped_kron([np.array([[1.0, 1.0], [1.0, -1.0]])], [(2,)], k) * 2.0 ** (-1.5 * k)
     return SchurMatrix(2 ** k, phi.astype(complex))
 
 
@@ -234,57 +235,59 @@ def schur_an_game(k: int) -> tuple[SchurMatrix, RankOneGame]:
 
 # -- tensoring ----------------------------------------------------------------
 
-def _regrouped_kron(x1: np.ndarray, dims1: tuple[int, int], x2: np.ndarray,
-                    dims2: tuple[int, int]) -> np.ndarray:
-    """x1 (x) x2 for square matrices on P1 (x) Q1 and P2 (x) Q2, of register
-    sides dims1 = (p1, q1) and dims2 = (p2, q2), with rows and columns
-    regrouped from (p1, q1, p2, q2) to (p1, p2, q1, q2)."""
-    (p1, q1), (p2, q2) = dims1, dims2
-    side = p1 * q1 * p2 * q2
-    big = np.kron(x1, x2).reshape((p1, q1, p2, q2) * 2)
-    return big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(side, side)
+def regrouped_kron(factors, dims, power: int = 1) -> np.ndarray:
+    """The Kronecker product of ``factors`` repeated ``power`` times, with
+    register r of every factor gathered in factor order: vectors or square
+    matrices on registers of sides dims[i], as (A1 A2 ..., B1 B2 ...) for
+    games.  One ``np.kron`` chain, so entries multiply as in iterated binary
+    products, then one permutation.  The size rule, checked before
+    allocating (else GameError): at most DEFAULT_SIDE_CAP.bit_length() - 1
+    factors, as side-1 factors never reach the cap, and a side of at most
+    DEFAULT_SIDE_CAP; a state's side is the larger side of the matrix
+    Psi[(r_0 ... r_n-2), r_n-1] that ``from_states`` reads it as."""
+    cap, count, n = DEFAULT_SIDE_CAP, len(factors) * power, len(dims[0])
+    if count > cap.bit_length() - 1:
+        raise GameError(f"{count} factors exceed the {cap.bit_length() - 1} the cap {cap} allows")
+    gathered = [math.prod(d[r] for d in dims) ** power for r in range(n)]
+    side = (math.prod(gathered) if np.ndim(factors[0]) == 2
+            else max(math.prod(gathered[:-1]), gathered[-1]))
+    if side > cap:
+        raise GameError(f"tensor side {side} exceeds the cap {cap}")
+    big = reduce(np.kron, list(factors) * power)
+    order = [f * n + r for r in range(n) for f in range(count)]
+    axes = order + [count * n + a for a in order] if big.ndim == 2 else order
+    shape = [s for d in list(dims) * power for s in d] * big.ndim
+    return big.reshape(shape).transpose(axes).reshape(big.shape)
 
 
 def game_tensor(g1: RankOneGame, g2: RankOneGame) -> RankOneGame:
-    """Parallel composition: registers regrouped to (A1 A2, B1 B2).
-
-    The side is capped at DEFAULT_SIDE_CAP.
-    """
-    d_a = g1.d_a * g2.d_a
-    d_b = g1.d_b * g2.d_b
-    if d_a * d_b > DEFAULT_SIDE_CAP:
-        raise GameError(f"tensor side {d_a * d_b} exceeds the cap {DEFAULT_SIDE_CAP}")
-    return RankOneGame(d_a, d_b, _regrouped_kron(g1.m, (g1.d_a, g1.d_b), g2.m, (g2.d_a, g2.d_b)))
+    """Parallel composition, on registers (A1 A2, B1 B2)."""
+    return RankOneGame(g1.d_a * g2.d_a, g1.d_b * g2.d_b,
+                       regrouped_kron([g1.m, g2.m], [(g1.d_a, g1.d_b), (g2.d_a, g2.d_b)]))
 
 
 def tensor_purifications(p1: GamePurification, p2: GamePurification) -> GamePurification:
-    """Purification of the tensored game: states tensored, registers regrouped."""
-    dims = (p1.d_a, p1.d_b, p1.d_c, p2.d_a, p2.d_b, p2.d_c)
-
-    def regroup(v1, v2):
-        return np.kron(v1, v2).reshape(dims).transpose(0, 3, 1, 4, 2, 5).reshape(-1)
-
+    """Purification of the tensored game, on registers (A1 A2, B1 B2, C1 C2)."""
+    dims = [(p.d_a, p.d_b, p.d_c) for p in (p1, p2)]
     return GamePurification(p1.d_a * p2.d_a, p1.d_b * p2.d_b, p1.d_c * p2.d_c,
-                            regroup(p1.psi, p2.psi), regroup(p1.gamma, p2.gamma))
+                            regrouped_kron([p1.psi, p2.psi], dims),
+                            regrouped_kron([p1.gamma, p2.gamma], dims))
 
 
 def game_power(g: RankOneGame, k: int) -> RankOneGame:
-    """k-fold tensor power; game_power(g, 1) is g itself."""
+    """k-fold tensor power; game_power(g, 1) is g itself, if within the cap."""
     if k < 1:
         raise GameError("k must be at least 1")
-    out = g
-    for _ in range(k - 1):
-        out = game_tensor(out, g)
-    return out
+    m = regrouped_kron([g.m], [(g.d_a, g.d_b)], k)
+    return g if k == 1 else RankOneGame(g.d_a ** k, g.d_b ** k, m)
 
 
 def purification_power(p: GamePurification, k: int) -> GamePurification:
+    """k-fold tensor power; purification_power(p, 1) is p, if within the cap."""
     if k < 1:
         raise GameError("k must be at least 1")
-    out = p
-    for _ in range(k - 1):
-        out = tensor_purifications(out, p)
-    return out
+    psi, gamma = (regrouped_kron([v], [(p.d_a, p.d_b, p.d_c)], k) for v in (p.psi, p.gamma))
+    return p if k == 1 else GamePurification(p.d_a ** k, p.d_b ** k, p.d_c ** k, psi, gamma)
 
 
 def check_maximal_value_one(p: GamePurification) -> bool:

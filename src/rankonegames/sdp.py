@@ -101,7 +101,7 @@ class SdpProblem:
     variables: list[SdpVariable]
     objective: dict[str, np.ndarray]
     psd_constraints: list[PsdConstraint]
-    maximize: bool = True
+    maximize: bool = False
     # always empty and not a field: programs have no equality rows, and the
     # benchmark's tracer still reads their count
     equalities = ()

@@ -27,7 +27,8 @@ transposed Grams.  Both values go through one path, ``_certified``:
 solve, require status optimal, check the blocks at 10 * tol.  The
 one-way value is multiplicative on tensor products, so ``qow_power``
 values a power from the base game's certificate, tensored and checked on
-the power's own program, which is built but not solved; mu is not
+the power's own program, which is built but not solved, every product
+through ``games.regrouped_kron``; mu is not
 multiplicative and has no such path.  The tests cross-check the block
 form against brute-force minimization over explicit decompositions,
 against a witness-side norm SDP and against the witness side of ``mu``,
@@ -38,13 +39,12 @@ against the direct solve of the power.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from . import linalg as la
 from . import sdp
-from .games import RankOneGame, SchurMatrix, _regrouped_kron, game_power, schur_game
+from .games import RankOneGame, SchurMatrix, game_power, regrouped_kron, schur_game
 from .strategies import identity_strategy, seesaw_lower_bound, win_prob_entangled
 
 # schur_s_search: coordinate-descent sweeps per start, random starts, grid phases
@@ -116,7 +116,6 @@ def haagerup_pairing_program(g: RankOneGame, transposed: bool = False) -> sdp.Sd
         objective={"P": np.eye(d_a), "Q": np.eye(d_b)},
         psd_constraints=[sdp.PsdConstraint(-_pairing_objective(rm, d_a, d_b), terms,
                                            name="multiplier-block")],
-        maximize=False,
     )
 
 
@@ -147,7 +146,6 @@ def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
             sdp.PsdConstraint(-_pairing_objective(la.realign(g.m, d_a, d_b), d_a, d_b),
                               transposed, name="transposed-block"),
         ],
-        maximize=False,
     )
 
 
@@ -237,15 +235,6 @@ def qow_value(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
     return SdpValue(achieved ** 2, bound ** 2, witness, sol)
 
 
-def _regrouped_power(x: np.ndarray, dims: tuple[int, int], k: int) -> np.ndarray:
-    """x^(x k) for a square x on P (x) Q, regrouped to (P^(x k)) (x) (Q^(x k))
-    with the factors in order, as ``game_power`` regroups the game."""
-    out, (p, q) = x, dims
-    for i in range(1, k):
-        out = _regrouped_kron(out, (p ** i, q ** i), x, dims)
-    return out
-
-
 def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
     """One-way value of the k-fold tensor power of g, from g's certificate.
 
@@ -254,8 +243,8 @@ def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
     ch. 5), so g is solved once, through ``_certified`` as in
     ``qow_value``, and both sides of its certificate are tensored k-fold:
 
-    - the multipliers P_k = 2^(k-1) P^(x k) and Q_k = 2^(k-1) Q^(x k), in
-      the order of ``np.kron``.  The Kronecker product of k copies of g's
+    - the multipliers P_k = 2^(k-1) P^(x k) and Q_k = 2^(k-1) Q^(x k), on
+      one register each.  The Kronecker product of k copies of g's
       PSD block has, up to the sign of its off-diagonal, the power's block
       at (P^(x k), Q^(x k)) as a principal submatrix, but with
       2^-k R(M^(x k)) off the diagonal where the power's program has 2^-1.
@@ -267,6 +256,8 @@ def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
       The value is Re <M^(x k), u_k>^2, taken on the power, since
       Re(z^k) differs from (Re z)^k when <M, u> is not real.
 
+    Each power is one ``regrouped_kron``, taken before the program is
+    built, so Grams of side dA^(2k) or dB^(2k) above the cap raise GameError.
     Both are checked on ``haagerup_pairing_program(game_power(g, k))``,
     which is built but not solved: the multiplier block plus
     POWER_PSD_SHIFT times the identity must have a Cholesky factor, and the
@@ -278,22 +269,22 @@ def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
     if k == 1:
         return base
     gk = game_power(g, k)
+    na = g.d_a * g.d_a
+    z = base.witness.blocks[0]
+    u_k = regrouped_kron([base.witness.u], [(g.d_a, g.d_b)], k)
+    y_a = regrouped_kron([z[:na, :na]], [(g.d_a, g.d_a)], k)
+    y_b = regrouped_kron([z[na:, na:]], [(g.d_b, g.d_b)], k)
     scale = 2.0 ** (k - 1)
-    mult = {name: scale * reduce(np.kron, [base.solution.assignments[name]] * k)
-            for name in "PQ"}
+    mult = {name: scale * regrouped_kron([base.solution.assignments[name]], [(d,)], k)
+            for name, d in (("P", g.d_a), ("Q", g.d_b))}
     block = haagerup_pairing_program(gk).psd_constraints[0].block(mult)
     try:
         np.linalg.cholesky(block + POWER_PSD_SHIFT * np.eye(block.shape[0]))
     except np.linalg.LinAlgError:
         raise CalculationError("power multipliers failed validation") from None
 
-    na = g.d_a * g.d_a
-    z = base.witness.blocks[0]
-    u_k = _regrouped_power(base.witness.u, (g.d_a, g.d_b), k)
     r = la.realign(u_k, gk.d_a, gk.d_b)
-    witness = HaagerupWitness(gk.d_a, gk.d_b, [np.block([
-        [_regrouped_power(z[:na, :na], (g.d_a, g.d_a), k), r],
-        [r.conj().T, _regrouped_power(z[na:, na:], (g.d_b, g.d_b), k)]])])
+    witness = HaagerupWitness(gk.d_a, gk.d_b, [np.block([[y_a, r], [r.conj().T, y_b]])])
     if not haagerup_witness_check(witness, 10.0 * tol):
         raise CalculationError("power witness failed validation")
     achieved = max(float(np.sum(gk.m * u_k).real), 0.0)
@@ -343,8 +334,9 @@ def entangled_value_bounds(g: RankOneGame, tol: float = sdp.DEFAULT_TOL, restart
     candidates: the squared symmetrized norm, the one-way value, and the
     maximal value.  Pessimistic solver sides are quoted throughout, and
     every provenance is recorded.  Both SDPs are solved before the
-    see-saw, whose target is the upper side less tol (relative, above 1):
-    once restart 0 reaches it, no other restart runs.
+    see-saw, whose target is the least upper candidate less tol (relative,
+    above 1): once restart 0 reaches it, no other restart runs.  The upper
+    side is the least candidate not below the lower side; V always remains.
     ``solver_info["seesaw_restarts"]`` is the configured count and
     ``solver_info["seesaw_restarts_run"]`` the count that ran.
     """
@@ -355,14 +347,17 @@ def entangled_value_bounds(g: RankOneGame, tol: float = sdp.DEFAULT_TOL, restart
     mu_lo = min(mres.value, mres.bound)
     mu_ub = max(mres.value, mres.bound)
     upper_candidates = [("mu^2", mu_ub ** 2), ("qow", qow_ub), ("V", v)]
-    up_prov, up = min(upper_candidates, key=lambda kv: kv[1])
+    least = min(x for _, x in upper_candidates)
 
     identity_value = win_prob_entangled(g, identity_strategy(g.d_a, g.d_b))
 
-    res = seesaw_lower_bound(g, restarts=restarts, seed=seed, target=up - tol * max(1.0, up))
+    res = seesaw_lower_bound(g, restarts=restarts, seed=seed, target=least - tol * max(1.0, least))
     lower_candidates = [("identity", identity_value), ("mu/4", mu_lo ** 2 / 4.0),
                         ("seesaw", res.value)]
     lo_prov, lo = max(lower_candidates, key=lambda kv: kv[1])
+    # an upper candidate below the lower side is refuted; V never is
+    up_prov, up = min([kv for kv in upper_candidates if kv[1] >= lo] + [("V", v)],
+                      key=lambda kv: kv[1])
     return ValueReport(
         v=v,
         qow=qres.value,

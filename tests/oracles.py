@@ -23,10 +23,15 @@ None of these is used by a command or a value function:
   solver can be run on both;
 - ``win_prob_entangled`` and ``win_prob_oneway`` play a strategy on a game
   purification (psi, gamma) and project onto gamma, where the package
-  contracts the game matrix M instead.
+  contracts the game matrix M instead;
+- ``iterated_kron`` tensors factor by factor with ``np.kron``, each step
+  regrouped by index arithmetic, where ``games.regrouped_kron`` takes one
+  ``np.kron`` chain and one reshape and transpose.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -107,7 +112,6 @@ def haagerup_norm_program(u: np.ndarray, d_a: int, d_b: int,
             sdp.PsdConstraint(np.zeros((d_a, d_a)), cap_a_terms, name="alice-cap"),
             sdp.PsdConstraint(np.zeros((d_b, d_b)), cap_b_terms, name="bob-cap"),
         ],
-        maximize=False,
     )
 
 
@@ -160,7 +164,28 @@ def mu_witness_program(g: RankOneGame) -> sdp.SdpProblem:
                    sdp.SdpVariable("TB", d_b * d_b)],
         objective={"Z": _pairing_objective(rm, d_a, d_b)},
         psd_constraints=constraints,
+        maximize=True,
     )
+
+
+# -- tensor products ----------------------------------------------------------------
+
+def iterated_kron(factors, dims) -> np.ndarray:
+    """((x1 (x) x2) (x) x3) ... of vectors or square matrices on registers of
+    sides dims[i], regrouped after each np.kron by moving the flat index of
+    (registers so far, registers of the new factor) to the one of
+    (R_0 so far, R_0 new, R_1 so far, R_1 new, ...)."""
+    out, sides = factors[0], tuple(dims[0])
+    for x, d in zip(factors[1:], dims[1:]):
+        n = len(d)
+        digits = np.unravel_index(np.arange(math.prod(sides) * math.prod(d)), sides + tuple(d))
+        dest = np.ravel_multi_index([digits[j] for r in range(n) for j in (r, n + r)],
+                                    [s for r in range(n) for s in (sides[r], d[r])])
+        big = np.kron(out, x)
+        out = np.empty_like(big)
+        out[np.ix_(*[dest] * big.ndim)] = big
+        sides = tuple(a * b for a, b in zip(sides, d))
+    return out
 
 
 # -- explicit norms -----------------------------------------------------------------

@@ -172,7 +172,6 @@ def test_criterion_10_sdp_engine_suite():
             objective={"t": np.array([[1.0]])},
             psd_constraints=[sdp.PsdConstraint(
                 -c, [sdp.PsdTerm("t", e[:, None]) for e in np.eye(4)])],
-            maximize=False,
         )
         sol = sdp.solve(problem, tol=1e-7)
         assert sol.status == "optimal"

@@ -575,6 +575,43 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(power.read_bytes()).hexdigest() == sha256
 
+    # the power files hold exact products of dyadic entries, so they and the
+    # plain reports do not depend on the BLAS; the qow reports print a
+    # solver's last bits, as numpy 2.4's OpenBLAS gives them on one thread
+    # (x86-64)
+    @pytest.mark.parametrize("game, argv, file_sha256, out_sha256", [
+        pytest.param("gcr2", ["--k", "2"],
+                     "4a7793f91c4d91858d106d4421e18c01f021789ec834a9b883922be4734597e1",
+                     "766ec80d16deedf380840cc0aea1d935554f20a70fbba3cb33ce57637dc5af0b",
+                     id="gcr2-k2"),
+        pytest.param("gcr2", ["--k", "3", "--which", "qow"],
+                     "c5758cd55fc303471de15f21d0dc78e2afe9434fd3780d407511f462104cbb45",
+                     "7bad92fbf3391730edb08fb95afeda5e54aac2a6006353e6523f9f6e4add5ded",
+                     id="gcr2-k3-qow"),
+        pytest.param("dyadic23", ["--k", "2"],
+                     "6c5487e9fb76c745d46bea59922841162569c83e3b08cbf7c995e6d60451cc67",
+                     "e7b06f2e1d45394ef6ef8e26e442e2a069da766f0d1964a61eb9605c211fa811",
+                     id="dyadic23-k2"),
+        pytest.param("dyadic23", ["--k", "3", "--which", "qow"],
+                     "7a5a648875c0cf151b5e98c49c7f874d6b3732447b455f80a5a8686edfb34041",
+                     "d550b449ccd077c14b8cf622ea98010a341c25c3db6898a8bae2771b5dd3d709",
+                     id="dyadic23-k3-qow"),
+    ])
+    def test_repeat_bytes_pinned(self, game, argv, file_sha256, out_sha256, tmp_path, capsys,
+                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the report prints --out as given
+        if game == "gcr2":
+            run(capsys, "make", "--family", "gcr", "--n", "2", "--out", "g.json")
+        else:  # a seeded complex 2x3 game with entries in (Z + iZ) / 128
+            rng = np.random.default_rng(29)
+            z = rng.integers(-8, 9, size=(6, 6)) + 1j * rng.integers(-8, 9, size=(6, 6))
+            g = games.RankOneGame(2, 3, z / 128)
+            (tmp_path / "g.json").write_text(cli.dump_json(games.game_to_json(g)) + "\n")
+        code, out, _ = run(capsys, "repeat", "--game", "g.json", *argv, "--out", "power.json")
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "power.json").read_bytes()).hexdigest() == file_sha256
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
+
     @pytest.mark.parametrize("which, sha256", [
         pytest.param("qow", "5595b2c06b3e5fe0c4f2e60af0387d6485627af4e890b6dab8b5108438c00596",
                      id="qow"),

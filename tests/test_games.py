@@ -341,6 +341,79 @@ class TestTensor:
         with pytest.raises(games.GameError):
             games.game_tensor(g, g)
 
+    def test_purification_powers_obey_the_cap(self, monkeypatch):
+        monkeypatch.setattr(games, "DEFAULT_SIDE_CAP", 16)
+        # only the referee register grows, as 3^k against dA dB = 1
+        psi = np.ones(3) / np.sqrt(3)
+        p = games.GamePurification(1, 1, 3, psi, psi)
+        assert games.purification_power(p, 2).d_c == 9
+        with pytest.raises(games.GameError, match="side 27 exceeds the cap 16"):
+            games.purification_power(p, 3)
+        with pytest.raises(games.GameError, match="side 36 exceeds the cap 16"):
+            games.tensor_purifications(games.game_gcr(2)[1], games.game_gcr(3)[1])
+        # side-1 factors never reach the cap, so their count is bounded: 4 at cap 16
+        _, unit = games.game_gc(1)
+        assert games.purification_power(unit, 4).d_c == 1
+        with pytest.raises(games.GameError, match="5 factors"):
+            games.purification_power(unit, 5)
+
+    def test_cap_checked_before_allocating(self, monkeypatch):
+        # gcr3's cube would hold (9 * 6)^3 complex entries per state, 2.5 MB
+        _, p = games.game_gcr(3)
+        monkeypatch.setattr(games, "DEFAULT_SIDE_CAP", 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(games.GameError):
+                games.purification_power(p, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+
+class TestRegroupedKron:
+    """The one chained product against oracles.iterated_kron, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2)])
+    def test_game_power(self, d_a, d_b, k):
+        g = random_game(d_a, d_b, 0.9, np.random.default_rng(10 * d_a + d_b))
+        want = oracles.iterated_kron([g.m] * k, [(d_a, d_b)] * k)
+        assert np.array_equal(games.regrouped_kron([g.m], [(d_a, d_b)], k), want)
+        assert np.array_equal(games.game_power(g, k).m, want)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_purification_power(self, k):
+        p = games.purify(random_game(2, 3, 0.8, np.random.default_rng(23)))
+        pk = games.purification_power(p, k)
+        assert p.d_c > 1 and (pk.d_a, pk.d_b, pk.d_c) == (2 ** k, 3 ** k, p.d_c ** k)
+        for got, v in ((pk.psi, p.psi), (pk.gamma, p.gamma)):
+            assert np.array_equal(got, oracles.iterated_kron([v] * k, [(2, 3, p.d_c)] * k))
+
+    def test_three_distinct_factors(self):
+        rng = np.random.default_rng(24)
+        gs = [random_game(2, 1, 0.8, rng), random_game(1, 2, 0.9, rng),
+              random_game(2, 3, 0.7, rng)]
+        dims = [(g.d_a, g.d_b) for g in gs]
+        want = oracles.iterated_kron([g.m for g in gs], dims)
+        assert np.array_equal(games.regrouped_kron([g.m for g in gs], dims), want)
+        assert np.array_equal(games.game_tensor(games.game_tensor(gs[0], gs[1]), gs[2]).m, want)
+        ps = [games.game_gc(2)[1], games.game_gr(2)[1], games.purify(gs[2])]
+        pdims = [(p.d_a, p.d_b, p.d_c) for p in ps]
+        p3 = games.tensor_purifications(games.tensor_purifications(ps[0], ps[1]), ps[2])
+        assert np.array_equal(p3.psi, games.regrouped_kron([p.psi for p in ps], pdims))
+        assert np.array_equal(p3.gamma, oracles.iterated_kron([p.gamma for p in ps], pdims))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_gram_and_multiplier_powers(self, k):
+        rng = np.random.default_rng(25)
+        gram = oracles.random_hermitian(9, rng)  # on pairs (b, b') of a side-3 register
+        assert np.array_equal(games.regrouped_kron([gram], [(3, 3)], k),
+                              oracles.iterated_kron([gram] * k, [(3, 3)] * k))
+        mult = oracles.random_hermitian(2, rng)  # one register: nothing to regroup
+        assert np.array_equal(games.regrouped_kron([mult], [(2,)], k),
+                              oracles.iterated_kron([mult] * k, [(2,)] * k))
+
 
 class TestMaximalValueOne:
     def test_equal_states(self):

@@ -34,7 +34,6 @@ def lambda_max_problem(c):
         variables=[sdp.SdpVariable("t", 1)],
         objective={"t": np.array([[1.0]])},
         psd_constraints=[sdp.PsdConstraint(-c, scalar_times_identity_terms("t", side))],
-        maximize=False,
     )
 
 
@@ -141,6 +140,7 @@ class TestStatuses:
                 [sdp.PsdTerm("y", np.array([[1.0], [0.0]])),
                  sdp.PsdTerm("y", np.array([[0.0], [1.0]]), -1)],
             )],
+            maximize=True,
         )
         sol = sdp.solve(p)
         assert sol.status != "optimal"
@@ -153,6 +153,7 @@ class TestStatuses:
             objective={"y": np.array([[1.0]])},
             psd_constraints=[sdp.PsdConstraint(
                 np.zeros((1, 1)), [sdp.PsdTerm("y", np.eye(1))])],
+            maximize=True,
         )
         sol = sdp.solve(p)
         assert sol.status != "optimal"
@@ -316,6 +317,7 @@ def mixed_program(rng):
             sdp.PsdConstraint(np.eye(4), [sdp.PsdTerm("X", a), sdp.PsdTerm("Y", b)]
                               + polarized_terms("Y", b, c)),
         ],
+        maximize=True,
     )
 
 
@@ -331,6 +333,7 @@ def real_only_program():
             sdp.PsdConstraint(np.eye(2), identity_terms("X", 2)),
             sdp.PsdConstraint(np.eye(1), polarized_terms("X", e0, e1)),
         ],
+        maximize=True,
     )
 
 

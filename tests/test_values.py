@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,31 @@ class TestEntangledValueBounds:
         assert rep.omega_star_lower_provenance == "seesaw"
         assert rep.omega_star_lower == seesaw_lower_bound(g, seed=101).value
 
+    def test_upper_side_never_below_the_lower(self):
+        # at the trace-norm slack the qow solve can stop within tol below the
+        # identity strategy's exact value 1 + 1e-12, which refutes it
+        rep = values.entangled_value_bounds(games.RankOneGame(1, 1, np.array([[1.0 + 9e-10]])))
+        uppers = {"mu^2": max(rep.mu, rep.mu_bound) ** 2, "qow": max(rep.qow, rep.qow_bound),
+                  "V": rep.v}
+        assert rep.omega_star_lower <= rep.omega_star_upper
+        assert rep.omega_star_upper == uppers[rep.omega_star_upper_provenance]
+        assert rep.omega_star_upper == min(x for x in uppers.values()
+                                           if x >= rep.omega_star_lower)
+
+    def test_refuted_candidate_is_skipped(self, monkeypatch):
+        solved = values.qow_value
+
+        def refuted(g, tol):
+            res = solved(g, tol=tol)
+            res.value = res.bound = 0.0
+            return res
+
+        monkeypatch.setattr(values, "qow_value", refuted)
+        rep = values.entangled_value_bounds(games.game_gc(2)[0], restarts=2)
+        assert rep.omega_star_lower >= 0.25 - 1e-6  # the identity strategy
+        assert rep.omega_star_upper_provenance == "mu^2"
+        assert rep.omega_star_upper == max(rep.mu, rep.mu_bound) ** 2
+
     def test_report_json_fields(self):
         g, _ = games.game_gc(2)
         rep = values.entangled_value_bounds(g)
@@ -387,9 +414,22 @@ class TestQowPower:
             values.qow_power(power_case(0)[0], 2)
 
     def test_witness_without_the_regrouping_is_refused(self, monkeypatch):
-        monkeypatch.setattr(values, "_regrouped_kron", lambda x1, d1, x2, d2: np.kron(x1, x2))
+        # plain Kronecker powers leave the multipliers, on one register each,
+        # as they are, but not the witness's registers in the game's order
+        monkeypatch.setattr(values, "regrouped_kron",
+                            lambda factors, dims, power=1: reduce(np.kron, list(factors) * power))
         with pytest.raises(values.CalculationError, match="witness"):
             values.qow_power(power_case(0)[0], 2)
+
+    @pytest.mark.parametrize("case", [4, 10])
+    def test_witness_is_the_regrouped_product(self, case):
+        g, k = power_case(case)
+        z, zk = values.qow_value(g).witness, values.qow_power(g, k).witness
+        na, nak = g.d_a ** 2, g.d_a ** (2 * k)
+        for got, x, dims in ((zk.u, z.u, (g.d_a, g.d_b)),
+                             (zk.blocks[0][:nak, :nak], z.blocks[0][:na, :na], (g.d_a, g.d_a)),
+                             (zk.blocks[0][nak:, nak:], z.blocks[0][na:, na:], (g.d_b, g.d_b))):
+            assert np.array_equal(got, oracles.iterated_kron([x] * k, [dims] * k))
 
 
 def seeded_game(case, seed=101, index=0):
