@@ -23,17 +23,14 @@ as its split dual, the infimum over M = M1 + M2 of ||M1||_h + ||M2||_h^t:
 two multiplier blocks joined by an off-diagonal split variable.  Its
 witness is the two dual blocks, the second given the first one's
 off-diagonal, so that both certify the same u with the plain and the
-transposed Grams.  Both values go through one path, ``_certified``:
-solve, require status optimal, check the blocks at 10 * tol.  The
-one-way value is multiplicative on tensor products, so ``qow_power``
-values a power from the base game's certificate, tensored and checked on
-the power's own program, which is built but not solved, every product
-through ``games.regrouped_kron``; mu is not
-multiplicative and has no such path.  The tests cross-check the block
-form against brute-force minimization over explicit decompositions,
-against a witness-side norm SDP and against the witness side of ``mu``,
-second routes that live in ``tests/oracles.py``, and ``qow_power``
-against the direct solve of the power.
+transposed Grams.  ``_checked`` accepts every certificate, solved or
+tensored, and reads both sides off it.  The one-way value is
+multiplicative on tensor products, so ``qow_power`` values a power from
+the base game's certificate, checked on the power's own program; mu is
+not.  The tests cross-check the block form against brute-force
+minimization over explicit decompositions, against a witness-side norm
+SDP and against the witness side of ``mu``, second routes that live in
+``tests/oracles.py``, and ``qow_power`` against the direct solve.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import games
 from . import linalg as la
 from . import sdp
 from .games import RankOneGame, SchurMatrix, game_power, regrouped_kron, schur_game
@@ -53,10 +51,10 @@ S_SEARCH_RESTARTS = 8
 S_SEARCH_PHASES = 16
 # schur_equivalence_check: slack of its two inequalities
 SCHUR_CHAIN_SLACK = 1e-5
-# qow_power: the least eigenvalue sdp.solve allows the block at an optimal
-# point, DEFAULT_FEAS_TOL (1 + scale) / sqrt 2, with scale 1: the pairing
-# programs' objective is the identity and their |F0|_2 = |R(M)|_2 / 2 <= 1/2
-POWER_PSD_SHIFT = sdp.DEFAULT_FEAS_TOL * np.sqrt(2.0)
+# _checked: the least eigenvalue sdp.solve allows the PSD blocks at an optimal
+# point, DEFAULT_FEAS_TOL (1 + scale) / sqrt 2, with scale 1: every pairing
+# program's objective is the identity and its |F0|_2 = |R(M)|_2 / 2 <= 1/2
+PSD_SHIFT = sdp.DEFAULT_FEAS_TOL * np.sqrt(2.0)
 
 
 class CalculationError(RuntimeError):
@@ -78,14 +76,19 @@ def _cap_columns(d_a: int, d_b: int, side: str, leg: int) -> list[np.ndarray]:
     the first pair index, leg 2 the second.
     """
     d, start = (d_a, 0) if side == "A" else (d_b, d_a * d_a)
-    i = np.arange(d)
-    eye = np.eye(d_a * d_a + d_b * d_b)
-    return [eye[:, start + (i * d + k if leg == 2 else k * d + i)] for k in range(d)]
+    i, k = np.arange(d), np.arange(d)[:, None]
+    columns = np.zeros((d, d_a * d_a + d_b * d_b, d))
+    columns[k, start + (i * d + k if leg == 2 else k * d + i), i] = 1.0
+    return list(columns)
 
 
 def _multiplier_terms(p: str, q: str, d_a: int, d_b: int, legs) -> list[sdp.PsdTerm]:
     """Terms placing the cap multipliers P (dA x dA) and Q (dB x dB) on the
-    diagonal blocks through the cap columns on legs (A, B)."""
+    diagonal blocks through the cap columns on legs (A, B).  A block side
+    dA^2 + dB^2 above games.DEFAULT_SIDE_CAP raises SdpError first."""
+    side, cap = d_a * d_a + d_b * d_b, games.DEFAULT_SIDE_CAP
+    if side > cap:
+        raise sdp.SdpError(f"pairing program side {side} exceeds the cap {cap}")
     terms = [sdp.PsdTerm(p, col) for col in _cap_columns(d_a, d_b, "A", legs[0])]
     return terms + [sdp.PsdTerm(q, col) for col in _cap_columns(d_a, d_b, "B", legs[1])]
 
@@ -109,13 +112,12 @@ def haagerup_pairing_program(g: RankOneGame, transposed: bool = False) -> sdp.Sd
     whose diagonal Grams have caps equal to 1.
     """
     d_a, d_b = g.d_a, g.d_b
-    rm = la.realign(g.m, d_a, d_b)
     terms = _multiplier_terms("P", "Q", d_a, d_b, (1, 2) if transposed else (2, 1))
+    c = _pairing_objective(la.realign(g.m, d_a, d_b), d_a, d_b)
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable("P", d_a), sdp.SdpVariable("Q", d_b)],
         objective={"P": np.eye(d_a), "Q": np.eye(d_b)},
-        psd_constraints=[sdp.PsdConstraint(-_pairing_objective(rm, d_a, d_b), terms,
-                                           name="multiplier-block")],
+        psd_constraints=[sdp.PsdConstraint(-c, terms, name="multiplier-block")],
     )
 
 
@@ -132,10 +134,12 @@ def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
     (the witness) and hold the plain and the transposed Grams.
     """
     d_a, d_b = g.d_a, g.d_b
+    plain = _multiplier_terms("P1", "Q1", d_a, d_b, (2, 1))
+    transposed = _multiplier_terms("P2", "Q2", d_a, d_b, (1, 2))
     s = d_a * d_a + d_b * d_b
     eye = np.eye(s)
-    plain = _multiplier_terms("P1", "Q1", d_a, d_b, (2, 1)) + [sdp.PsdTerm("K", eye, -1)]
-    transposed = _multiplier_terms("P2", "Q2", d_a, d_b, (1, 2)) + [sdp.PsdTerm("K", eye)]
+    plain.append(sdp.PsdTerm("K", eye, -1))
+    transposed.append(sdp.PsdTerm("K", eye))
     sides = {"P1": d_a, "Q1": d_b, "P2": d_a, "Q2": d_b}
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable(name, d) for name, d in sides.items()]
@@ -202,37 +206,52 @@ class SdpValue:
     solution: sdp.SdpSolution
 
 
-def _certified(problem: sdp.SdpProblem, g: RankOneGame, tol: float, what: str,
-               witness_name: str):
-    """Solve a pairing program, whose dual blocks are the witness (a second
-    block takes the first block's off-diagonal).  Raises CalculationError
-    unless the solve is optimal and the witness passes
-    ``haagerup_witness_check`` at 10 * tol."""
+def _checked(problem: sdp.SdpProblem, g: RankOneGame, point: dict, blocks: list,
+             tol: float, what: str):
+    """Accept a certificate of a pairing program of g, or raise
+    CalculationError, and read its sides off what passed.
+
+    The multipliers: every PSD constraint of ``problem`` at ``point``, plus
+    PSD_SHIFT times the identity, must have a Cholesky factor.  The witness:
+    ``blocks``, the later ones given block 0's off-diagonal, must pass
+    ``haagerup_witness_check`` at 10 * tol.  Returns (value, bound,
+    witness): value = max(Re <M, u>, 0) on the witness's u, and bound =
+    max(sum_v Re tr(C_v^dag X_v), 0), the objective at ``point``.
+    """
+    for constraint in problem.psd_constraints:
+        block = constraint.block(point)
+        try:
+            np.linalg.cholesky(block + PSD_SHIFT * np.eye(block.shape[0]))
+        except np.linalg.LinAlgError:
+            raise CalculationError(f"{what}: multipliers failed validation") from None
+    na, z = g.d_a * g.d_a, blocks[0]
+    later = [x.copy() for x in blocks[1:]]
+    for x in later:
+        x[:na, na:], x[na:, :na] = z[:na, na:], z[na:, :na]
+    witness = HaagerupWitness(g.d_a, g.d_b, [z] + later)
+    if not haagerup_witness_check(witness, 10.0 * tol):
+        raise CalculationError(f"{what}: witness failed validation")
+    value = float(np.sum(g.m * witness.u).real)
+    bound = sum(float(np.trace(c.conj().T @ point[name]).real)
+                for name, c in problem.objective.items())
+    return max(value, 0.0), max(bound, 0.0), witness
+
+
+def _certified(problem: sdp.SdpProblem, g: RankOneGame, tol: float, what: str) -> SdpValue:
+    """Solve a pairing program of g, require status optimal, and accept the
+    solution's point and dual blocks through ``_checked``."""
     sol = sdp.solve(problem, tol=tol)
     if sol.status != "optimal":
         raise CalculationError(f"{what}: solver returned status {sol.status!r} "
                                f"after {sol.iterations} iterations")
-    na = g.d_a * g.d_a
-    z, *rest = sol.dual_blocks
-    blocks = [z]
-    for x in rest:
-        x = x.copy()
-        x[:na, na:], x[na:, :na] = z[:na, na:], z[na:, :na]
-        blocks.append(x)
-    witness = HaagerupWitness(g.d_a, g.d_b, blocks)
-    if not haagerup_witness_check(witness, 10.0 * tol):
-        raise CalculationError(f"{witness_name} failed validation")
-    return sol, witness
+    return SdpValue(*_checked(problem, g, sol.assignments, sol.dual_blocks, tol, what), sol)
 
 
 def qow_value(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
-    """One-way value: square of the pairing optimum over Haagerup witnesses,
-    certified as in ``_certified``."""
-    sol, witness = _certified(haagerup_pairing_program(g), g, tol, "one-way value",
-                              "one-way witness")
-    achieved = max(sol.dual_value, 0.0)
-    bound = max(sol.primal_value, 0.0)
-    return SdpValue(achieved ** 2, bound ** 2, witness, sol)
+    """One-way value: the squared sides of the pairing program's certificate,
+    accepted as in ``_certified``."""
+    res = _certified(haagerup_pairing_program(g), g, tol, "one-way value")
+    return SdpValue(res.value ** 2, res.bound ** 2, res.witness, res.solution)
 
 
 def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
@@ -240,8 +259,8 @@ def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
 
     The Haagerup norm is multiplicative (Effros & Ruan, Operator Spaces,
     2000, ch. 9; Pisier, Introduction to Operator Space Theory, 2003,
-    ch. 5), so g is solved once, through ``_certified`` as in
-    ``qow_value``, and both sides of its certificate are tensored k-fold:
+    ch. 5), so g is solved once, by ``qow_value``, and both sides of its
+    certificate are tensored k-fold, each power one ``regrouped_kron``:
 
     - the multipliers P_k = 2^(k-1) P^(x k) and Q_k = 2^(k-1) Q^(x k), on
       one register each.  The Kronecker product of k copies of g's
@@ -249,59 +268,39 @@ def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
       at (P^(x k), Q^(x k)) as a principal submatrix, but with
       2^-k R(M^(x k)) off the diagonal where the power's program has 2^-1.
       Scaling both diagonal blocks by 2^(k-1) makes up the difference, and
-      this split is optimal, since tr P = tr Q at g's optimum.  The bound
-      is (tr P_k + tr Q_k)^2.
+      this split is optimal, since tr P = tr Q at g's optimum.
     - the witness block: the Grams Y_A^(x k), Y_B^(x k) and u^(x k), with
       their registers regrouped as the game's, and R(u_k) off the diagonal.
-      The value is Re <M^(x k), u_k>^2, taken on the power, since
-      Re(z^k) differs from (Re z)^k when <M, u> is not real.
+      The value is taken on the power, since Re(z^k) differs from (Re z)^k
+      when <M, u> is not real.
 
-    Each power is one ``regrouped_kron``, taken before the program is
-    built, so Grams of side dA^(2k) or dB^(2k) above the cap raise GameError.
-    Both are checked on ``haagerup_pairing_program(game_power(g, k))``,
-    which is built but not solved: the multiplier block plus
-    POWER_PSD_SHIFT times the identity must have a Cholesky factor, and the
-    witness must pass ``haagerup_witness_check`` at 10 * tol; otherwise
-    CalculationError.  k = 1 is ``qow_value(g)``.  ``solution`` is the
-    solve of g.  mu is not multiplicative, so it has no such path.
+    Both are accepted by ``_checked`` on
+    ``haagerup_pairing_program(game_power(g, k))``, which is built, but not
+    solved, before the Grams are tensored, so an oversized power raises
+    SdpError first.  k = 1 is ``qow_value(g)``.  ``solution`` is the solve
+    of g.  mu is not multiplicative, so it has no such path.
     """
     base = qow_value(g, tol=tol)
     if k == 1:
         return base
     gk = game_power(g, k)
+    problem = haagerup_pairing_program(gk)
     na = g.d_a * g.d_a
     z = base.witness.blocks[0]
-    u_k = regrouped_kron([base.witness.u], [(g.d_a, g.d_b)], k)
     y_a = regrouped_kron([z[:na, :na]], [(g.d_a, g.d_a)], k)
     y_b = regrouped_kron([z[na:, na:]], [(g.d_b, g.d_b)], k)
-    scale = 2.0 ** (k - 1)
-    mult = {name: scale * regrouped_kron([base.solution.assignments[name]], [(d,)], k)
+    r = la.realign(regrouped_kron([base.witness.u], [(g.d_a, g.d_b)], k), gk.d_a, gk.d_b)
+    mult = {name: 2.0 ** (k - 1) * regrouped_kron([base.solution.assignments[name]], [(d,)], k)
             for name, d in (("P", g.d_a), ("Q", g.d_b))}
-    block = haagerup_pairing_program(gk).psd_constraints[0].block(mult)
-    try:
-        np.linalg.cholesky(block + POWER_PSD_SHIFT * np.eye(block.shape[0]))
-    except np.linalg.LinAlgError:
-        raise CalculationError("power multipliers failed validation") from None
-
-    r = la.realign(u_k, gk.d_a, gk.d_b)
-    witness = HaagerupWitness(gk.d_a, gk.d_b, [np.block([[y_a, r], [r.conj().T, y_b]])])
-    if not haagerup_witness_check(witness, 10.0 * tol):
-        raise CalculationError("power witness failed validation")
-    achieved = max(float(np.sum(gk.m * u_k).real), 0.0)
-    bound = max(float(np.trace(mult["P"]).real + np.trace(mult["Q"]).real), 0.0)
-    return SdpValue(achieved ** 2, bound ** 2, witness, base.solution)
+    value, bound, witness = _checked(problem, gk, mult, [np.block([[y_a, r], [r.conj().T, y_b]])],
+                                     tol, f"one-way value of the {k}-fold power")
+    return SdpValue(value ** 2, bound ** 2, witness, base.solution)
 
 
 def mu_norm(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
-    """Symmetrized Haagerup norm of the game matrix (not squared), certified
-    as in ``_certified``."""
-    sol, witness = _certified(mu_pairing_program(g), g, tol, "symmetrized norm",
-                              "symmetrized witness")
-    # the dual value pairs M with the transposed block's own copy of u, which
-    # matches the first block's only to the dual residual
-    achieved = max(float(np.sum(g.m * witness.u).real), 0.0)
-    bound = max(sol.primal_value, 0.0)
-    return SdpValue(achieved, bound, witness, sol)
+    """Symmetrized Haagerup norm of the game matrix (not squared): the sides
+    of the split program's certificate, accepted as in ``_certified``."""
+    return _certified(mu_pairing_program(g), g, tol, "symmetrized norm")
 
 
 # -- reports -----------------------------------------------------------------------

@@ -45,3 +45,10 @@ def random_game(d_a, d_b, trace_norm, rng):
     m = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     m *= trace_norm / np.sum(np.linalg.svd(m, compute_uv=False))
     return games.RankOneGame(d_a, d_b, m)
+
+
+def halve_p(sol):
+    """The solution with every P multiplier halved and its status kept."""
+    sol.assignments = {name: x / 2 if name.startswith("P") else x
+                       for name, x in sol.assignments.items()}
+    return sol

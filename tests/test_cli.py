@@ -9,6 +9,8 @@ import pytest
 from rankonegames import cli, games, sdp, values
 from rankonegames.linalg import matrix_to_json
 
+from conftest import halve_p
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -446,6 +448,26 @@ class TestSolverStatus:
         assert code == 3
         assert out == ""
         assert "'singular'" in err
+
+
+    def test_oversized_program_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(cli.dump_json(games.game_to_json(
+            games.RankOneGame(64, 1, np.eye(64) / 64))), encoding="utf-8")
+        code, out, err = run(capsys, "value", "--game", str(path), "--which", "qow")
+        assert code == 3 and out == ""
+        assert err.startswith("solver error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["qow", "mu"])
+    def test_unchecked_multipliers_exit_3(self, which, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "gcr2.json"
+        run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda problem, tol: halve_p(solve(problem, tol=tol)))
+        code, out, err = run(capsys, "value", "--game", str(path), "--which", which)
+        assert code == 3 and out == ""
+        assert "multipliers failed validation" in err
 
 
 class TestRemovedFlags:

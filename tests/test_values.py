@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,7 @@ from rankonegames import games, linalg as la, sdp, values
 from rankonegames.strategies import seesaw_lower_bound, win_prob_entangled
 
 import oracles
-from conftest import make_canonical, random_game
+from conftest import halve_p, make_canonical, random_game
 
 
 class TestMaximalValue:
@@ -39,6 +40,34 @@ class TestPairingObjective:
             z = oracles.random_hermitian(s, rng)
             expected = np.real(np.sum(rm * z[:4, 4:]))
             assert np.trace(c @ z).real == pytest.approx(expected, abs=1e-12)
+
+
+def assignment_traces(sol):
+    """Sum of Re tr over the returned assignments: the pairing programs'
+    objective, whose coefficients are identities (K, off-diagonal, adds 0)."""
+    return sum(float(np.trace(x).real) for x in sol.assignments.values())
+
+
+class TestAcceptance:
+    def test_oversized_program_refused_before_allocating(self):
+        # side 64^2 + 1 = 4097: the dense block alone would take 268 MB
+        g = games.RankOneGame(64, 1, np.eye(64) / 64)
+        for build in (values.haagerup_pairing_program, values.mu_pairing_program):
+            tracemalloc.start()
+            try:
+                with pytest.raises(sdp.SdpError, match="side 4097 exceeds the cap 4096"):
+                    build(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("value", [values.qow_value, values.mu_norm])
+    def test_optimal_status_does_not_vouch_for_the_multipliers(self, value, monkeypatch):
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda problem, tol: halve_p(solve(problem, tol=tol)))
+        with pytest.raises(values.CalculationError, match="multipliers"):
+            value(games.game_gcr(2)[0])
 
 
 class TestQowValue:
@@ -87,6 +116,9 @@ class TestQowValue:
         w = res.witness
         assert np.real(np.sum(g.m * w.u)) == pytest.approx(np.sqrt(res.value), abs=tol)
         assert values.haagerup_witness_check(w, 10 * tol)
+        # both sides are read off the certificate that passed the check
+        assert res.value == max(float(np.sum(g.m * w.u).real), 0.0) ** 2
+        assert res.bound == max(assignment_traces(res.solution), 0.0) ** 2
 
     def test_phase_invariance(self):
         g, _ = games.game_gr(2)
@@ -155,6 +187,7 @@ class TestMuNorm:
         res = values.mu_norm(g, tol=tol)
         w = res.witness
         assert res.value == max(float(np.sum(g.m * w.u).real), 0.0)
+        assert res.bound == max(assignment_traces(res.solution), 0.0)
         assert res.value <= res.bound
         assert values.haagerup_witness_check(w, 10 * tol)
 
