@@ -265,8 +265,6 @@ def cmd_repeat(args) -> int:
         out_obj["family"] = obj["family"]
         out_obj["n"] = obj.get("n")
     out_obj["power"] = args.k
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(out_obj) + "\n")
     report = {"out": args.out, "dA": gk.d_a, "dB": gk.d_b, "k": args.k}
     if args.which == "V":
         report["value"] = values.maximal_value(gk)
@@ -275,6 +273,9 @@ def cmd_repeat(args) -> int:
         _dump_sdp(args.dump_sdp, values.haagerup_pairing_program, gk)
         res = values.qow_power(g, args.k, tol=args.tol)
         report.update(value=res.value, bound=res.bound)
+    # written once the value is accepted, so a refused power leaves no file
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(dump_json(out_obj) + "\n")
     if args.which:
         report["which"] = args.which
     sys.stdout.write(dump_json(report) + "\n")

@@ -15,22 +15,23 @@ operator-sum constraints become partial-trace caps on those Grams,
 
 The one-way value is solved as the Lagrange dual of this program, over
 the dA^2 + dB^2 multipliers of the two caps; the dual matrix of its one
-PSD block is the witness, held as that block, with u read from its
-off-diagonal.  The transposed Haagerup norm caps the complementary legs.
-The symmetrized norm ``mu`` constrains one witness by both programs at
-once, and the entangled value then sits in [mu^2/4, mu^2].  It is solved
-as its split dual, the infimum over M = M1 + M2 of ||M1||_h + ||M2||_h^t:
-two multiplier blocks joined by an off-diagonal split variable.  Its
-witness is the two dual blocks, the second given the first one's
-off-diagonal, so that both certify the same u with the plain and the
-transposed Grams.  ``_checked`` accepts every certificate, solved or
-tensored, and reads both sides off it.  The one-way value is
-multiplicative on tensor products, so ``qow_power`` values a power from
-the base game's certificate, checked on the power's own program; mu is
-not.  The tests cross-check the block form against brute-force
-minimization over explicit decompositions, against a witness-side norm
-SDP and against the witness side of ``mu``, second routes that live in
-``tests/oracles.py``, and ``qow_power`` against the direct solve.
+PSD block is the witness: u is read off its off-diagonal and the Grams
+off its diagonal.  The transposed Haagerup norm caps the complementary
+legs; CAP_LEGS holds both leg pairs.  The symmetrized norm ``mu``
+constrains one witness by both programs at once, and the entangled value
+then sits in [mu^2/4, mu^2].  It is solved as its split dual, the infimum
+over M = M1 + M2 of ||M1||_h + ||M2||_h^t: two multiplier blocks joined by
+an off-diagonal split variable.  Its two dual blocks carry the same R(u),
+so its witness is u with two Gram pairs, the plain and the transposed.
+``_checked`` accepts every certificate, solved or tensored, and reads
+both sides off it.  The one-way value is multiplicative on tensor
+products, so ``qow_power`` values a power from the base game's
+certificate, checked on the power's own program; mu is only
+supermultiplicative.  The tests cross-check the block form against
+brute-force minimization over explicit decompositions, against a
+witness-side norm SDP and against the witness side of ``mu``, second
+routes that live in ``tests/oracles.py``, and ``qow_power`` against the
+direct solve.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ SCHUR_CHAIN_SLACK = 1e-5
 # point, DEFAULT_FEAS_TOL (1 + scale) / sqrt 2, with scale 1: every pairing
 # program's objective is the identity and its |F0|_2 = |R(M)|_2 / 2 <= 1/2
 PSD_SHIFT = sdp.DEFAULT_FEAS_TOL * np.sqrt(2.0)
+# the partial traces (of Y_A, of Y_B) that the Haagerup caps take, then the
+# transposed norm's complementary ones: tr_2 Y_A <= 1 and tr_1 Y_B <= 1 first
+CAP_LEGS = ((2, 1), (1, 2))
 
 
 class CalculationError(RuntimeError):
@@ -112,7 +116,7 @@ def haagerup_pairing_program(g: RankOneGame, transposed: bool = False) -> sdp.Sd
     whose diagonal Grams have caps equal to 1.
     """
     d_a, d_b = g.d_a, g.d_b
-    terms = _multiplier_terms("P", "Q", d_a, d_b, (1, 2) if transposed else (2, 1))
+    terms = _multiplier_terms("P", "Q", d_a, d_b, CAP_LEGS[transposed])
     c = _pairing_objective(la.realign(g.m, d_a, d_b), d_a, d_b)
     return sdp.SdpProblem(
         variables=[sdp.SdpVariable("P", d_a), sdp.SdpVariable("Q", d_b)],
@@ -131,11 +135,12 @@ def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
     complementary legs and K - C.  K keeps only its off-diagonal blocks,
     so the program has 2 dA^2 dB^2 + 2 (dA^2 + dB^2) real parameters.
     The dual matrices of the two blocks share their off-diagonal block
-    (the witness) and hold the plain and the transposed Grams.
+    R(u), to the solver's tolerance, and hold the plain and the transposed
+    Grams.
     """
     d_a, d_b = g.d_a, g.d_b
-    plain = _multiplier_terms("P1", "Q1", d_a, d_b, (2, 1))
-    transposed = _multiplier_terms("P2", "Q2", d_a, d_b, (1, 2))
+    plain = _multiplier_terms("P1", "Q1", d_a, d_b, CAP_LEGS[0])
+    transposed = _multiplier_terms("P2", "Q2", d_a, d_b, CAP_LEGS[1])
     s = d_a * d_a + d_b * d_b
     eye = np.eye(s)
     plain.append(sdp.PsdTerm("K", eye, -1))
@@ -157,20 +162,16 @@ def mu_pairing_program(g: RankOneGame) -> sdp.SdpProblem:
 
 @dataclass
 class HaagerupWitness:
-    """A witness u contractive in the Haagerup norm, held as the solver's
-    dual blocks [[Y_A, R(u)], [R(u)^dag, Y_B]].  ``blocks[0]`` certifies the
-    plain constraint; a second block (the symmetrized norm's) has the same
-    R(u) and Grams capped on the complementary legs."""
+    """A witness u (dA dB x dA dB) and the Gram pairs (Y_A, Y_B) that prove
+    it contractive, one pair per entry of CAP_LEGS: with each pair,
+    [[Y_A, R(u)], [R(u)^dag, Y_B]] is PSD and the Grams meet the caps on
+    those legs.  One pair certifies the Haagerup norm; the symmetrized
+    norm's second pair certifies the transposed norm as well."""
 
     d_a: int
     d_b: int
-    blocks: list[np.ndarray]
-
-    @property
-    def u(self) -> np.ndarray:
-        """The witness, read from the first block's off-diagonal R(u)."""
-        na = self.d_a * self.d_a
-        return la.unrealign(self.blocks[0][:na, na:], self.d_a, self.d_b)
+    u: np.ndarray
+    grams: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _partial_trace(y: np.ndarray, d: int, leg: int) -> np.ndarray:
@@ -179,17 +180,15 @@ def _partial_trace(y: np.ndarray, d: int, leg: int) -> np.ndarray:
 
 
 def haagerup_witness_check(w: HaagerupWitness, tol: float) -> bool:
-    """Validate all eigenvalue conditions of the witness to tolerance: each
-    block, with the first block's R(u) put off its diagonal, is PSD, and its
-    Grams meet their caps (tr_2 Y_A, tr_1 Y_B; the legs swap in block 1)."""
-    na = w.d_a * w.d_a
-    ru = w.blocks[0][:na, na:]
-    for block, legs in zip(w.blocks, ((2, 1), (1, 2))):
-        z = np.array(block, dtype=complex)
-        z[:na, na:], z[na:, :na] = ru, ru.conj().T
+    """Validate all eigenvalue conditions of the witness to tolerance: with
+    each Gram pair, [[Y_A, R(u)], [R(u)^dag, Y_B]] is PSD, and the Grams
+    meet their caps on the pair's CAP_LEGS."""
+    ru = la.realign(w.u, w.d_a, w.d_b)
+    for (y_a, y_b), legs in zip(w.grams, CAP_LEGS):
+        z = np.block([[y_a, ru], [ru.conj().T, y_b]])
         if not np.linalg.eigvalsh((z + z.conj().T) / 2.0)[0] >= -tol:
             return False
-        for y, d, leg in ((z[:na, :na], w.d_a, legs[0]), (z[na:, na:], w.d_b, legs[1])):
+        for y, d, leg in ((y_a, w.d_a, legs[0]), (y_b, w.d_b, legs[1])):
             cap = _partial_trace(y, d, leg) - np.eye(d)
             if not np.linalg.eigvalsh((cap + cap.conj().T) / 2)[-1] <= tol:
                 return False
@@ -206,16 +205,15 @@ class SdpValue:
     solution: sdp.SdpSolution
 
 
-def _checked(problem: sdp.SdpProblem, g: RankOneGame, point: dict, blocks: list,
-             tol: float, what: str):
+def _checked(problem: sdp.SdpProblem, g: RankOneGame, point: dict,
+             witness: HaagerupWitness, tol: float, what: str) -> tuple[float, float]:
     """Accept a certificate of a pairing program of g, or raise
     CalculationError, and read its sides off what passed.
 
     The multipliers: every PSD constraint of ``problem`` at ``point``, plus
-    PSD_SHIFT times the identity, must have a Cholesky factor.  The witness:
-    ``blocks``, the later ones given block 0's off-diagonal, must pass
-    ``haagerup_witness_check`` at 10 * tol.  Returns (value, bound,
-    witness): value = max(Re <M, u>, 0) on the witness's u, and bound =
+    PSD_SHIFT times the identity, must have a Cholesky factor.  The witness
+    must pass ``haagerup_witness_check`` at 10 * tol.  Returns (value,
+    bound): value = max(Re <M, u>, 0) on the witness's u, and bound =
     max(sum_v Re tr(C_v^dag X_v), 0), the objective at ``point``.
     """
     for constraint in problem.psd_constraints:
@@ -224,27 +222,28 @@ def _checked(problem: sdp.SdpProblem, g: RankOneGame, point: dict, blocks: list,
             np.linalg.cholesky(block + PSD_SHIFT * np.eye(block.shape[0]))
         except np.linalg.LinAlgError:
             raise CalculationError(f"{what}: multipliers failed validation") from None
-    na, z = g.d_a * g.d_a, blocks[0]
-    later = [x.copy() for x in blocks[1:]]
-    for x in later:
-        x[:na, na:], x[na:, :na] = z[:na, na:], z[na:, :na]
-    witness = HaagerupWitness(g.d_a, g.d_b, [z] + later)
     if not haagerup_witness_check(witness, 10.0 * tol):
         raise CalculationError(f"{what}: witness failed validation")
     value = float(np.sum(g.m * witness.u).real)
     bound = sum(float(np.trace(c.conj().T @ point[name]).real)
                 for name, c in problem.objective.items())
-    return max(value, 0.0), max(bound, 0.0), witness
+    return max(value, 0.0), max(bound, 0.0)
 
 
 def _certified(problem: sdp.SdpProblem, g: RankOneGame, tol: float, what: str) -> SdpValue:
     """Solve a pairing program of g, require status optimal, and accept the
-    solution's point and dual blocks through ``_checked``."""
+    solution's point and the witness of its dual blocks through ``_checked``:
+    u off block 0's off-diagonal, and one Gram pair off each block's
+    diagonal."""
     sol = sdp.solve(problem, tol=tol)
     if sol.status != "optimal":
         raise CalculationError(f"{what}: solver returned status {sol.status!r} "
                                f"after {sol.iterations} iterations")
-    return SdpValue(*_checked(problem, g, sol.assignments, sol.dual_blocks, tol, what), sol)
+    na = g.d_a * g.d_a
+    witness = HaagerupWitness(g.d_a, g.d_b,
+                              la.unrealign(sol.dual_blocks[0][:na, na:], g.d_a, g.d_b),
+                              [(z[:na, :na], z[na:, na:]) for z in sol.dual_blocks])
+    return SdpValue(*_checked(problem, g, sol.assignments, witness, tol, what), witness, sol)
 
 
 def qow_value(g: RankOneGame, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
@@ -269,31 +268,29 @@ def qow_power(g: RankOneGame, k: int, tol: float = sdp.DEFAULT_TOL) -> SdpValue:
       2^-k R(M^(x k)) off the diagonal where the power's program has 2^-1.
       Scaling both diagonal blocks by 2^(k-1) makes up the difference, and
       this split is optimal, since tr P = tr Q at g's optimum.
-    - the witness block: the Grams Y_A^(x k), Y_B^(x k) and u^(x k), with
-      their registers regrouped as the game's, and R(u_k) off the diagonal.
-      The value is taken on the power, since Re(z^k) differs from (Re z)^k
-      when <M, u> is not real.
+    - the witness: u^(x k) and the Grams Y_A^(x k), Y_B^(x k), with their
+      registers regrouped as the game's.  The value is taken on the power,
+      since Re(z^k) differs from (Re z)^k when <M, u> is not real.
 
     Both are accepted by ``_checked`` on
     ``haagerup_pairing_program(game_power(g, k))``, which is built, but not
     solved, before the Grams are tensored, so an oversized power raises
     SdpError first.  k = 1 is ``qow_value(g)``.  ``solution`` is the solve
-    of g.  mu is not multiplicative, so it has no such path.
+    of g.  mu is only supermultiplicative, so it has no such path.
     """
     base = qow_value(g, tol=tol)
     if k == 1:
         return base
     gk = game_power(g, k)
     problem = haagerup_pairing_program(gk)
-    na = g.d_a * g.d_a
-    z = base.witness.blocks[0]
-    y_a = regrouped_kron([z[:na, :na]], [(g.d_a, g.d_a)], k)
-    y_b = regrouped_kron([z[na:, na:]], [(g.d_b, g.d_b)], k)
-    r = la.realign(regrouped_kron([base.witness.u], [(g.d_a, g.d_b)], k), gk.d_a, gk.d_b)
+    y_a, y_b = base.witness.grams[0]
+    witness = HaagerupWitness(gk.d_a, gk.d_b,
+                              regrouped_kron([base.witness.u], [(g.d_a, g.d_b)], k),
+                              [(regrouped_kron([y_a], [(g.d_a, g.d_a)], k),
+                                regrouped_kron([y_b], [(g.d_b, g.d_b)], k))])
     mult = {name: 2.0 ** (k - 1) * regrouped_kron([base.solution.assignments[name]], [(d,)], k)
             for name, d in (("P", g.d_a), ("Q", g.d_b))}
-    value, bound, witness = _checked(problem, gk, mult, [np.block([[y_a, r], [r.conj().T, y_b]])],
-                                     tol, f"one-way value of the {k}-fold power")
+    value, bound = _checked(problem, gk, mult, witness, tol, f"one-way value of the {k}-fold power")
     return SdpValue(value ** 2, bound ** 2, witness, base.solution)
 
 

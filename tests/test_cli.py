@@ -459,6 +459,18 @@ class TestSolverStatus:
         assert err.startswith("solver error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_refused_power_leaves_no_file(self, tmp_path, capsys):
+        # the square of an 8 x 1 game has a pairing program of side 64^2 + 1,
+        # one above the cap, which is refused after the base game is solved
+        path, out_path = tmp_path / "tall.json", tmp_path / "sq.json"
+        path.write_text(cli.dump_json(games.game_to_json(
+            games.RankOneGame(8, 1, np.eye(8) / 8))), encoding="utf-8")
+        code, out, err = run(capsys, "repeat", "--game", str(path), "--k", "2",
+                             "--which", "qow", "--out", str(out_path))
+        assert code == 3 and out == ""
+        assert err.startswith("solver error:") and err.count("\n") == 1
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("which", ["qow", "mu"])
     def test_unchecked_multipliers_exit_3(self, which, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gcr2.json"
