@@ -1,6 +1,10 @@
 """Command-line front end: build games, compute values, simulate protocols,
 and reproduce the desk-scale closed forms as machine-readable tables.
 
+The commands keep no rules of their own: ``make`` looks its family up in
+``games.FAMILIES`` and ``repeat`` calls the power constructors, and a game
+that ``games`` refuses for its size is a usage error.
+
 Exit codes: 0 success, 1 usage, 2 I/O, 3 solver failure, 4 reproduction
 failure.  Output is deterministic for a fixed --seed: field order is fixed
 and floats are printed with 17 significant digits, so identical invocations
@@ -25,15 +29,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_SOLVER = 3
 EXIT_REPRODUCE = 4
-
-# name -> constructor of (game, purification); schur-an's n is the k of phi_k
-FAMILIES = {
-    "gc": games.game_gc,
-    "gr": games.game_gr,
-    "gcr": games.game_gcr,
-    "schur-an": lambda k: games.schur_game(games.schur_an_multiplier(k)),
-}
-
 
 class UsageError(Exception):
     pass
@@ -134,15 +129,10 @@ def _row(game: str, n: int, quantity: str, exact_value: float, computed: float,
 # -- commands ------------------------------------------------------------------------
 
 def cmd_make(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    cap = games.DEFAULT_SIDE_CAP
-    # 4^k is clamped so that a huge --n is never a huge integer; 4^64 is above any cap
-    side = 4 ** min(args.n, 64) if args.family == "schur-an" else args.n ** 2
-    if side > cap:
-        raise UsageError(f"--family {args.family} --n {args.n} makes a game whose side "
-                         f"is above the cap {cap}")
-    g, p = FAMILIES[args.family](args.n)
+    try:
+        g, p = games.FAMILIES[args.family](args.n)
+    except games.GameError as exc:
+        raise UsageError(f"--family {args.family} --n {args.n}: {exc}") from None
     obj = games.game_to_json(g, p)
     obj["family"] = args.family
     obj["n"] = args.n
@@ -207,18 +197,8 @@ def cmd_value(args) -> int:
 
 def _strategy_for(args, g):
     name = args.strategy
-    if args.ancilla is not None and name != "identity":
-        raise UsageError("--ancilla applies only to --strategy identity")
     if name == "identity":
-        d_ap, d_bp = 1, 1
-        if args.ancilla is not None:
-            try:
-                d_ap, d_bp = (int(x) for x in args.ancilla.split(","))
-            except ValueError as exc:
-                raise UsageError("--ancilla expects two integers a,b") from exc
-            if min(d_ap, d_bp) < 1:
-                raise UsageError(f"--ancilla dimensions must be at least 1, not {args.ancilla}")
-        return st.identity_strategy(g.d_a, g.d_b, d_ap, d_bp)
+        return st.identity_strategy(g.d_a, g.d_b)
     if name in ("gc-oneway-flip", "gcr-oneway"):
         return st.named_strategy(name, g.d_a)
     if name == "gcr2-swap":
@@ -411,7 +391,7 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_make = sub.add_parser("make", help="write a canonical game file")
-    p_make.add_argument("--family", required=True, choices=list(FAMILIES))
+    p_make.add_argument("--family", required=True, choices=list(games.FAMILIES))
     p_make.add_argument("--n", type=int, required=True)
     p_make.add_argument("--out", required=True)
     p_make.set_defaults(func=cmd_make)
@@ -430,7 +410,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--strategy", required=True,
                        help="named protocol (%s) or a strategy JSON file"
                             % "|".join(st.NAMED_STRATEGIES))
-    p_sim.add_argument("--ancilla", default=None, help="a,b ancilla dimensions")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("repeat", help="tensor-power a game file")

@@ -4,8 +4,10 @@ A game is the matrix M on H_A (x) H_B obtained by tracing the referee's
 register out of |psi><gamma|; games are exactly the trace-norm unit ball.
 Basis indexing is 0-based throughout; published 1-based formulas are
 translated here once and pinned by tests against their explicit entries.
-``regrouped_kron`` alone orders the registers of every tensor product
-(A1 A2 ..., B1 B2 ..., C1 C2 ...) and applies the size cap.
+``FAMILIES`` maps each canonical family's name and n to its game and
+purification.  ``regrouped_kron`` alone orders the registers of every tensor
+product (A1 A2 ..., B1 B2 ..., C1 C2 ...); it and every family apply the one
+size cap, ``_size_rule``, before they allocate.
 """
 
 from __future__ import annotations
@@ -130,22 +132,26 @@ def purify(g: RankOneGame) -> GamePurification:
 
 # -- canonical families -------------------------------------------------------
 
-def _referee_game(n: int, pairs) -> tuple[RankOneGame, GamePurification]:
+def _referee_game(n: int, pairs_of) -> tuple[RankOneGame, GamePurification]:
     """The game of the referee states given by K index pairs (r_k, c_k) on A (x) B.
 
-    Each r_k and c_k is an array over i = 0..n-1 of flat indices a n + b.
+    ``pairs_of(i)`` lists them, each r_k and c_k an array over i = 0..n-1 of
+    flat indices a n + b; it is called once n passes the size rule.
     psi = (1/sqrt(Kn)) sum_{i,k} |r_k(i)>|K i + k> and gamma the same with
     c_k, so M = tr_C |psi><gamma| = (1/(Kn)) sum_{i,k} |r_k(i)><c_k(i)|.
     The C register is C^n (x) C^K: slot k of round i has flat index K i + k.
     """
     if n < 1:
         raise GameError("n must be at least 1")
+    _size_rule([(n, n)])
+    i = np.arange(n)
+    pairs = pairs_of(i)
     k_pairs = len(pairs)
     d_c = k_pairs * n
     m = np.zeros((n * n, n * n), dtype=complex)
     psi = np.zeros((n * n, d_c), dtype=complex)
     gamma = np.zeros((n * n, d_c), dtype=complex)
-    slots = k_pairs * np.arange(n)
+    slots = k_pairs * i
     for k, (r, c) in enumerate(pairs):
         m[r, c] += 1.0 / d_c
         psi[r, slots + k] = 1.0 / np.sqrt(d_c)
@@ -155,14 +161,12 @@ def _referee_game(n: int, pairs) -> tuple[RankOneGame, GamePurification]:
 
 def game_gc(n: int) -> tuple[RankOneGame, GamePurification]:
     """M = (1/n) sum_i |i><0| (x) |0><i|; psi = (1/sqrt n) sum |i 0>|i>."""
-    i = np.arange(n)
-    return _referee_game(n, [(i * n, i)])
+    return _referee_game(n, lambda i: [(i * n, i)])
 
 
 def game_gr(n: int) -> tuple[RankOneGame, GamePurification]:
     """M = (1/n) sum_i |0><i| (x) |i><0|; roles of game_gc exchanged."""
-    i = np.arange(n)
-    return _referee_game(n, [(i, i * n)])
+    return _referee_game(n, lambda i: [(i, i * n)])
 
 
 def game_gcr(n: int) -> tuple[RankOneGame, GamePurification]:
@@ -172,8 +176,7 @@ def game_gcr(n: int) -> tuple[RankOneGame, GamePurification]:
     gamma = (1/sqrt(2n)) sum_i (|0 i>|i,0> + |i 0>|i,1>),
     where the C register is C^n (x) C^2 with flat index 2i + k.
     """
-    i = np.arange(n)
-    return _referee_game(n, [(i * n, i), (i, i * n)])
+    return _referee_game(n, lambda i: [(i * n, i), (i, i * n)])
 
 
 def schur_game(s: SchurMatrix) -> tuple[RankOneGame, GamePurification]:
@@ -222,37 +225,48 @@ def schur_an_multiplier(k: int) -> SchurMatrix:
     return SchurMatrix(2 ** k, phi.astype(complex))
 
 
-def schur_an_game(k: int) -> tuple[SchurMatrix, RankOneGame]:
-    """The sign-matrix family phi_k = 2^(-3k/2) A^(x k), A = [[1,1],[1,-1]].
+def schur_an_game(k: int) -> tuple[RankOneGame, GamePurification]:
+    """The game of the sign-matrix family phi_k = 2^(-3k/2) A^(x k),
+    A = [[1,1],[1,-1]], with the purification of :func:`schur_game`.
 
     Its maximal value is exactly one while the entrywise witness
     2^(-3k/2) B^(x k), B all-ones, has trace norm 2^(-k/2).
     """
-    s = schur_an_multiplier(k)
-    game, _ = schur_game(s)
-    return s, game
+    _size_rule([(2, 2)], k)  # k factors of a game on C^2 (x) C^2
+    return schur_game(schur_an_multiplier(k))
+
+
+# name -> n -> (game, purification); schur-an's n is the k of phi_k
+FAMILIES = {"gc": game_gc, "gr": game_gr, "gcr": game_gcr, "schur-an": schur_an_game}
 
 
 # -- tensoring ----------------------------------------------------------------
+
+def _size_rule(dims, power: int = 1, vector: bool = False) -> None:
+    """The one size rule of every constructor, checked before it allocates
+    (else GameError), on ``power`` copies of factors on registers of sides
+    dims[i]: at most DEFAULT_SIDE_CAP.bit_length() - 1 factors, as side-1
+    factors never reach the cap, and a side of at most DEFAULT_SIDE_CAP, both
+    read at call time.  A matrix's side is the product of its registers';
+    a ``vector``'s is the larger side of the matrix Psi[(r_0 ... r_n-2), r_n-1]
+    that ``from_states`` reads it as."""
+    cap, count, n = DEFAULT_SIDE_CAP, len(dims) * power, len(dims[0])
+    if count > cap.bit_length() - 1:
+        raise GameError(f"{count} factors exceed the {cap.bit_length() - 1} the cap {cap} allows")
+    gathered = [math.prod(d[r] for d in dims) ** power for r in range(n)]
+    side = max(math.prod(gathered[:-1]), gathered[-1]) if vector else math.prod(gathered)
+    if side > cap:
+        raise GameError(f"side {side} exceeds the cap {cap}")
+
 
 def regrouped_kron(factors, dims, power: int = 1) -> np.ndarray:
     """The Kronecker product of ``factors`` repeated ``power`` times, with
     register r of every factor gathered in factor order: vectors or square
     matrices on registers of sides dims[i], as (A1 A2 ..., B1 B2 ...) for
     games.  One ``np.kron`` chain, so entries multiply as in iterated binary
-    products, then one permutation.  The size rule, checked before
-    allocating (else GameError): at most DEFAULT_SIDE_CAP.bit_length() - 1
-    factors, as side-1 factors never reach the cap, and a side of at most
-    DEFAULT_SIDE_CAP; a state's side is the larger side of the matrix
-    Psi[(r_0 ... r_n-2), r_n-1] that ``from_states`` reads it as."""
-    cap, count, n = DEFAULT_SIDE_CAP, len(factors) * power, len(dims[0])
-    if count > cap.bit_length() - 1:
-        raise GameError(f"{count} factors exceed the {cap.bit_length() - 1} the cap {cap} allows")
-    gathered = [math.prod(d[r] for d in dims) ** power for r in range(n)]
-    side = (math.prod(gathered) if np.ndim(factors[0]) == 2
-            else max(math.prod(gathered[:-1]), gathered[-1]))
-    if side > cap:
-        raise GameError(f"tensor side {side} exceeds the cap {cap}")
+    products, then one permutation, once the product passes ``_size_rule``."""
+    _size_rule(dims, power, vector=np.ndim(factors[0]) != 2)
+    count, n = len(factors) * power, len(dims[0])
     big = reduce(np.kron, list(factors) * power)
     order = [f * n + r for r in range(n) for f in range(count)]
     axes = order + [count * n + a for a in order] if big.ndim == 2 else order

@@ -6,7 +6,8 @@ onto gamma.  One-way play: a single message register A' starts in |0>,
 Alice acts on (A, A'), then Bob acts on (B, A').  Since
 M = tr_C |psi><gamma|, the accepted branch left on the ancillas is
 tr_AB[(U (x) V)(M (x) |phi>)], or tr_AB[V U (M (x) |0>)] one-way, so no
-purification is needed.
+purification is needed.  The identity protocol leaves tr(M)|phi>, which wins
+with |tr M|^2 on any ancillas, so it takes one-dimensional ones.
 
 The see-saw alternates exactly-solvable subproblems (top singular pair of
 the contracted operator, then a polar update of each unitary) and returns
@@ -108,12 +109,10 @@ def win_prob_oneway(g: RankOneGame, s: OneWayStrategy) -> float:
     return _accepted(np.einsum("zkb,bwkz->w", um, v4))
 
 
-def identity_strategy(d_a: int, d_b: int, d_ap: int = 1, d_bp: int = 1) -> EntangledStrategy:
-    """Do nothing: identity unitaries, with phi the first basis vector of A' (x) B'."""
-    phi = np.zeros(d_ap * d_bp, dtype=complex)
-    phi[0] = 1.0
-    return EntangledStrategy(d_ap, d_bp, np.eye(d_a * d_ap, dtype=complex),
-                             np.eye(d_b * d_bp, dtype=complex), phi)
+def identity_strategy(d_a: int, d_b: int) -> EntangledStrategy:
+    """Do nothing: identity unitaries, with one-dimensional ancillas in phi = |0>|0>."""
+    return EntangledStrategy(1, 1, np.eye(d_a, dtype=complex), np.eye(d_b, dtype=complex),
+                             np.ones(1, dtype=complex))
 
 
 def swap_unitary(n: int) -> np.ndarray:

@@ -7,20 +7,10 @@ from rankonegames import games, values
 
 
 def make_canonical(family, n, power=1):
-    if family == "gc":
-        g, p = games.game_gc(n)
-    elif family == "gr":
-        g, p = games.game_gr(n)
-    elif family == "gcr":
-        g, p = games.game_gcr(n)
-    elif family == "schur-an":
-        _, g = games.schur_an_game(n)
-        p = None
-    else:
-        raise ValueError(family)
+    g, p = games.FAMILIES[family](n)
     if power > 1:
         g = games.game_power(g, power)
-        p = games.purification_power(p, power) if p is not None else None
+        p = games.purification_power(p, power)
     return g, p
 
 

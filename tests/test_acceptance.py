@@ -107,7 +107,7 @@ def test_criterion_08_schur_suite():
         s_up = values.schur_s_upper(phi, witness * 2.0 ** (-1.5 * k))
         assert abs(s_up - 2.0 ** (-k / 2.0)) <= 1e-12, k
     for k in (1, 2):
-        phi, g = games.schur_an_game(k)
+        g, _ = games.schur_an_game(k)
         qow = values.qow_value(g).value
         assert qow <= (2.0 ** (-k / 2.0)) ** 2 + 1e-5, (k, qow)
     # the three-dimensional coherent-exchange game is recognized as Schur

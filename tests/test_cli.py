@@ -35,6 +35,11 @@ class TestMake:
         assert code == 1
         assert "usage" in err
 
+    def test_family_choices_are_the_games_table(self):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices["make"]
+        family = next(a for a in sub._actions if a.dest == "family")
+        assert family.choices == list(games.FAMILIES)
+
     def test_bad_family_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "make", "--family", "nope", "--n", "2",
                          "--out", str(tmp_path / "x.json"))
@@ -59,6 +64,15 @@ class TestMake:
         assert out.exists() == (code == 0)
         if code:
             assert "usage error" in err and "cap 16" in err
+
+
+    @pytest.mark.parametrize("family, n", [
+        ("gc", 65), ("gc", 10 ** 12), ("schur-an", 7), ("schur-an", 10 ** 12)])
+    def test_oversize_is_refused_without_building(self, family, n, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        rc, _, err = run(capsys, "make", "--family", family, "--n", str(n), "--out", str(out))
+        assert rc == 1 and not out.exists()
+        assert err.startswith("usage error:") and "cap 4096" in err
 
 
 class TestValue:
@@ -184,8 +198,7 @@ class TestSimulate:
     def test_identity_on_gcr(self, tmp_path, capsys):
         path = tmp_path / "gcr2.json"
         run(capsys, "make", "--family", "gcr", "--n", "2", "--out", str(path))
-        code, out, _ = run(capsys, "simulate", "--game", str(path), "--strategy", "identity",
-                           "--ancilla", "2,2")
+        code, out, _ = run(capsys, "simulate", "--game", str(path), "--strategy", "identity")
         assert code == 0
         assert json.loads(out)["win_prob"] == pytest.approx(0.25, abs=1e-12)
 
@@ -222,7 +235,7 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--game", str(path), "--strategy", strategy,
                              f"--ancilla={ancilla}")
         assert code == 1
-        assert err.startswith("usage error:") and out == ""
+        assert err.startswith("usage error:") and "unrecognized arguments" in err and out == ""
 
 
 def malformed_game(case):
@@ -495,6 +508,7 @@ class TestRemovedFlags:
         ("value", ["--out", "copy.json"]),
         ("simulate", ["--out", "copy.json"]),
         ("reproduce", ["--out", "copy.json"]),
+        ("simulate", ["--ancilla", "2,2"]),
     ])
     def test_flag_is_usage_error(self, command, flag, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a flag that is still accepted writes here

@@ -273,9 +273,9 @@ class TestSchur:
         assert games.is_schur(g) is None
 
     def test_an_family_norms(self):
-        s1, g1 = games.schur_an_game(1)
+        s1 = games.schur_an_multiplier(1)
         assert la.trace_norm(s1.phi) == pytest.approx(1.0, abs=1e-12)
-        s2, g2 = games.schur_an_game(2)
+        s2 = games.schur_an_multiplier(2)
         assert la.trace_norm(s2.phi) ** 2 == pytest.approx(1.0, abs=1e-12)
         # witness 2^{-9/2} B3 has trace norm 2^{-3/2}
         b = np.ones((2, 2))
@@ -369,6 +369,21 @@ class TestTensor:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 16
+
+    @pytest.mark.parametrize("family, n, cap", [
+        ("game_gc", 65, None), ("game_gr", 65, None), ("game_gcr", 65, None),
+        ("schur_an_game", 3, 16)])
+    def test_families_refuse_oversize_before_allocating(self, family, n, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(games, "DEFAULT_SIDE_CAP", cap)
+        tracemalloc.start()
+        try:
+            with pytest.raises(games.GameError, match="exceeds the cap"):
+                getattr(games, family)(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestRegroupedKron:

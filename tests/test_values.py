@@ -632,7 +632,7 @@ class TestMetamorphic:
 class TestSchurQuantities:
     def test_s_upper_an_family(self):
         for k in (1, 2, 3):
-            s, _ = games.schur_an_game(k)
+            s = games.schur_an_multiplier(k)
             witness = np.ones((2, 2)) * 2.0 ** (-1.5)
             w = witness.copy()
             for _ in range(k - 1):
@@ -640,11 +640,11 @@ class TestSchurQuantities:
             assert values.schur_s_upper(s, w) == pytest.approx(2.0 ** (-k / 2.0), abs=1e-12)
 
     def test_s_upper_self_witness(self):
-        s, _ = games.schur_an_game(1)
+        s = games.schur_an_multiplier(1)
         assert values.schur_s_upper(s, s.phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_s_upper_domination_enforced(self):
-        s, _ = games.schur_an_game(1)
+        s = games.schur_an_multiplier(1)
         with pytest.raises(values.CalculationError):
             values.schur_s_upper(s, 0.5 * np.abs(s.phi))
 
@@ -664,7 +664,7 @@ class TestSchurQuantities:
         assert val <= best + 1e-9
 
     def test_search_a1_finds_flat_witness(self):
-        s, _ = games.schur_an_game(1)
+        s = games.schur_an_multiplier(1)
         val, psi = values.schur_s_search(s, seed=0)
         assert val <= 2.0 ** (-0.5) + 1e-6
 
@@ -682,7 +682,7 @@ class TestSchurQuantities:
         assert rep.qow_below_s_squared and rep.mu_quarter_below_qow
 
     def test_equivalence_check_a1(self):
-        s, _ = games.schur_an_game(1)
+        s = games.schur_an_multiplier(1)
         rep = values.schur_equivalence_check(s)
         assert rep.qow <= 0.5 + 1e-5
         assert rep.qow_below_s_squared
